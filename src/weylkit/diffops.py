@@ -7,11 +7,13 @@
 over an ordered tuple of variables, with exact complex-rational
 coefficients.  Terms are kept normal ordered (all multiplications to the
 left of all derivatives), so the term map is a canonical form and equality
-is structural.  Composition and adjoints are exact via the Leibniz identity
+is structural.  Composition and adjoints are exact via the reordering
+identity
 
     ∂^c x^e = Σ_k k! C(c,k) C(e,k) x^{e−k} ∂^{c−k}
 
-applied per variable.
+applied per variable; its weights come from :func:`weylkit.symbols._reorder`,
+the same weights that normal-order p̂^c q̂^e in the Weyl algebra.
 
 These operators serve two roles: phase-space generators acting on symbols
 (variables ("q", "p")) and configuration-space operators in one or two
@@ -25,15 +27,23 @@ import math
 from fractions import Fraction
 
 from .rational import CRat, ONE
-from .symbols import PolySymbol
+from .symbols import PolySymbol, _join_terms, _reorder
 
-__all__ = ["DiffOp", "diffop_compose", "diffop_commutator"]
+__all__ = ["DiffOp"]
 
 
-def _leibniz(c: int, e: int):
-    """Coefficients of ∂^c x^e = Σ_k coeff(k) x^{e−k} ∂^{c−k} (one variable)."""
-    for k in range(min(c, e) + 1):
-        yield k, math.factorial(k) * math.comb(c, k) * math.comb(e, k)
+def _normal_terms(a, c, e, f):
+    """Normal order (x^a ∂^c)(x^e ∂^f) over all variables: yields (key, weight).
+
+    Each ∂^c_i is pushed through x^e_i with the weights of :func:`_reorder`;
+    the key is the (multiplication, derivative) exponent pair of the term.
+    """
+    choices = [list(_reorder(ci, ei)) for ci, ei in zip(c, e)]
+    for combo in itertools.product(*choices):
+        ks = [k for k, _ in combo]
+        mult = tuple(ai + ei - k for ai, ei, k in zip(a, e, ks))
+        der = tuple(ci + fi - k for ci, fi, k in zip(c, f, ks))
+        yield (mult, der), math.prod(w for _, w in combo)
 
 
 class DiffOp:
@@ -75,9 +85,7 @@ class DiffOp:
 
     @classmethod
     def identity(cls, variables) -> "DiffOp":
-        variables = tuple(variables)
-        d = len(variables)
-        return cls(variables, {((0,) * d, (0,) * d): ONE})
+        return cls.constant(variables, ONE)
 
     @classmethod
     def constant(cls, variables, c) -> "DiffOp":
@@ -183,22 +191,12 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator composition self ∘ other, re-normal-ordered exactly."""
         self._check_same(other)
-        d = len(self.variables)
         terms: dict = {}
         for (a, c), c1 in self.terms.items():
             for (e, f), c2 in other.terms.items():
                 base = c1 * c2
-                # push ∂^c through x^e one variable at a time
-                choices = [list(_leibniz(c[i], e[i])) for i in range(d)]
-                for combo in itertools.product(*choices):
-                    factor = 1
-                    for _, w in combo:
-                        factor *= w
-                    ks = tuple(k for k, _ in combo)
-                    mult = tuple(a[i] + e[i] - ks[i] for i in range(d))
-                    der = tuple(c[i] + f[i] - ks[i] for i in range(d))
-                    key = (mult, der)
-                    terms[key] = terms.get(key, CRat(0)) + base * factor
+                for key, w in _normal_terms(a, c, e, f):
+                    terms[key] = terms.get(key, CRat(0)) + base * w
         return DiffOp(self.variables, terms)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
@@ -206,21 +204,13 @@ class DiffOp:
 
     def adjoint(self) -> "DiffOp":
         """Formal adjoint in the flat L2 pairing: (x^a ∂^c)† = (−1)^{|c|} ∂^c x^a."""
-        d = len(self.variables)
+        zeros = (0,) * len(self.variables)
         terms: dict = {}
         for (a, c), coeff in self.terms.items():
             sign = ONE if sum(c) % 2 == 0 else CRat(-1)
             base = coeff.conjugate() * sign
-            choices = [list(_leibniz(c[i], a[i])) for i in range(d)]
-            for combo in itertools.product(*choices):
-                factor = 1
-                for _, w in combo:
-                    factor *= w
-                ks = tuple(k for k, _ in combo)
-                mult = tuple(a[i] - ks[i] for i in range(d))
-                der = tuple(c[i] - ks[i] for i in range(d))
-                key = (mult, der)
-                terms[key] = terms.get(key, CRat(0)) + base * factor
+            for key, w in _normal_terms(zeros, c, a, zeros):
+                terms[key] = terms.get(key, CRat(0)) + base * w
         return DiffOp(self.variables, terms)
 
     def conjugate_coefficients(self) -> "DiffOp":
@@ -286,17 +276,12 @@ class DiffOp:
 
     def pretty(self) -> str:
         """Readable form; derivatives print as D<var> (e.g. x^2*Dx)."""
-        from .symbols import _fmt_coeff  # shared coefficient formatting
-
-        if not self.terms:
-            return "0"
 
         def sort_key(item):
             (mult, der), _ = item
             return (sum(der), der, sum(mult), mult)
 
-        pieces = []
-        for (mult, der), coeff in sorted(self.terms.items(), key=sort_key):
+        def vars_part(mult, der):
             factors = []
             for name, a in zip(self.variables, mult):
                 if a:
@@ -304,27 +289,9 @@ class DiffOp:
             for name, c in zip(self.variables, der):
                 if c:
                     factors.append(f"D{name}" if c == 1 else f"D{name}^{c}")
-            vars_part = "*".join(factors)
-            coeff_part = _fmt_coeff(coeff, has_vars=bool(vars_part))
-            if vars_part and coeff_part not in ("", "-"):
-                piece = f"{coeff_part}*{vars_part}"
-            else:
-                piece = f"{coeff_part}{vars_part}" if vars_part else coeff_part
-            pieces.append(piece)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += f" - {piece[1:]}"
-            else:
-                out += f" + {piece}"
-        return out
+            return "*".join(factors)
 
-
-def diffop_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Composition a ∘ b (exact; see :meth:`DiffOp.compose`)."""
-    return a.compose(b)
-
-
-def diffop_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Commutator [a, b] = a ∘ b − b ∘ a (exact)."""
-    return a.commutator(b)
+        return _join_terms(
+            (coeff, vars_part(mult, der))
+            for (mult, der), coeff in sorted(self.terms.items(), key=sort_key)
+        )

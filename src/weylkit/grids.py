@@ -11,6 +11,7 @@ dp/2 on the odd-parity rows.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ class GridSpec:
     Parameters
     ----------
     n : even integer >= 4, number of position samples.
-    dx : positive grid spacing.
+    dx : positive, finite grid spacing.
 
     The momentum spacing is dp = π/(n·dx); half-integer momentum offsets
     appear on phase-function rows of odd parity.
@@ -36,10 +37,11 @@ class GridSpec:
     dx: float
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 4:
+        n = self.n
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n % 2 or n < 4:
             raise ValueError("n must be an even integer >= 4")
-        if not (self.dx > 0):
-            raise ValueError("dx must be positive")
+        if not (self.dx > 0 and math.isfinite(self.dx)):
+            raise ValueError("dx must be positive and finite")
 
     @property
     def dp(self) -> float:

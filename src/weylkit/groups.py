@@ -94,17 +94,16 @@ def _lattice_steps(value: float, step: float):
 
 
 def position_representation(op: NCPoly, hbar=1) -> DiffOp:
-    """Coordinate realisation of an operator polynomial: q̂ -> x, p̂ -> −iħ∂x."""
-    h = _exact_positive(hbar, "hbar")
-    x_op = DiffOp.mult(LINE_VARS, "x")
-    p_op = DiffOp.deriv(LINE_VARS, "x", coeff=-I * CRat(h))
-    out = DiffOp.zero(LINE_VARS)
-    for coeff, word in op.terms:
-        term = DiffOp.constant(LINE_VARS, coeff)
-        for letter in word:
-            term = term * (x_op if letter == "q" else p_op)
-        out = out + term
-    return out
+    """Coordinate realisation of an operator polynomial: q̂ -> x, p̂ -> −iħ∂x.
+
+    Applied to the normal-ordered form, q̂^a p̂^b -> (−iħ)^b x^a ∂x^b.
+    """
+    p_coeff = -I * CRat(_exact_positive(hbar, "hbar"))
+    terms = {
+        ((a,), (b,)): c * p_coeff ** b
+        for (a, b), c in nc_normalize(op)._canonical().items()
+    }
+    return DiffOp(LINE_VARS, terms)
 
 
 def _scaled_factor(alpha: DiffOp, hbar) -> DiffOp:
@@ -292,7 +291,7 @@ def gen_heisenberg_tower(N: int) -> list:
         beta = DiffOp(PHASE_VARS, terms)
         a_hat = split_test(z_conjugate(beta)).require()
         symbol = read_off_generator(a_hat)
-        b_hat = position_representation(nc_normalize(weyl_quantize(symbol)))
+        b_hat = position_representation(weyl_quantize(symbol))
         out.append((beta, b_hat))
     return out
 
@@ -618,9 +617,7 @@ def sp2_generators(params: Sp2Params):
     k3 = -_closure_shift(moyal_symbolic(a1, a2), -a3, "{A1, A2} = -A3 - k3")
     shifts = (k1, k2, k3)
     shifted = tuple(s + PolySymbol.constant(k) for s, k in zip(syms, shifts))
-    a_hats = tuple(
-        position_representation(nc_normalize(weyl_quantize(s))) for s in shifted
-    )
+    a_hats = tuple(position_representation(weyl_quantize(s)) for s in shifted)
     _require_zero(
         a_hats[0].commutator(a_hats[1]) + I * a_hats[2], "[A_1, A_2] = -i*A_3"
     )

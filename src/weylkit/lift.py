@@ -30,13 +30,7 @@ from fractions import Fraction
 
 from .diffops import DiffOp
 from .rational import CRat, I, ONE
-from .symbols import (
-    NCPoly,
-    PolySymbol,
-    format_symbol,
-    nc_normalize,
-    weyl_symbol,
-)
+from .symbols import NCPoly, PolySymbol, format_symbol, weyl_symbol
 
 __all__ = [
     "xi_lift",
@@ -246,10 +240,10 @@ def read_off_generator(a_hat: DiffOp) -> PolySymbol:
     """
     if a_hat.variables != LINE_VARS:
         raise ValueError("read_off_generator expects an operator in (x,)")
-    total = NCPoly.zero()
-    for ((a,), (c,)), coeff in a_hat.terms.items():
-        total = total + NCPoly.monomial(a, c, coeff * I ** c)
-    symbol = weyl_symbol(nc_normalize(total))
+    operator = NCPoly(
+        (coeff * I**c, "q" * a + "p" * c) for ((a,), (c,)), coeff in a_hat.terms.items()
+    )
+    symbol = weyl_symbol(operator)
     body = symbol.without_constant()
     if not body.is_real():
         raise ValueError(

@@ -7,18 +7,27 @@ coefficients (:class:`~weylkit.rational.CRat`):
 * :class:`NCPoly` -- noncommutative polynomials in the canonical pair
   (q̂, p̂) with q̂p̂ − p̂q̂ = i (dimensionless units).
 
-The maps between them are the symmetric (Weyl) correspondence:
+One reordering identity underlies both: p̂^b q̂^a and ∂^b x^a are brought
+to normal order with the weights k! C(b,k) C(a,k) of :func:`_reorder`,
+which :func:`nc_normalize` and :class:`~weylkit.diffops.DiffOp` share.
+
+The maps between the algebras are the symmetric (Weyl) correspondence:
 ``weyl_symbol`` sends an operator polynomial to its symbol and
-``weyl_quantize`` inverts it.  On symbols the operator product transports to
-the star product, computed here as a terminating bidifferential series
+``weyl_quantize`` inverts it; both are the one shift :func:`_symmetric_shift`
+with opposite parameters ±i/2.  On symbols the operator product transports
+to the star product, computed here as a terminating bidifferential series
 (``star_symbolic``), and the commutator transports to the Groenewold-Moyal
 bracket (``moyal_symbolic``).
 
 All identities in this module are exact; nothing here is floating point.
+The functions compute each result one way and do not re-verify it; the
+alternative closed forms (the right-acting star series and the symmetrised
+quantisation) are checked against them in the test suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -385,52 +394,65 @@ def _coerce_nc(value):
     return None
 
 
-def _normal_product(a1: int, b1: int, a2: int, b2: int) -> dict:
-    """Normal ordering of (q̂^a1 p̂^b1)(q̂^a2 p̂^b2).
+def _reorder(b: int, a: int):
+    """Weights of p̂^b q̂^a = Σ_k (−i)^k w_k q̂^{a−k} p̂^{b−k}: yields (k, w_k).
 
-    Uses p̂^b q̂^a = Σ_k (−i)^k k! C(b,k) C(a,k) q̂^{a−k} p̂^{b−k}, the closed
-    form of repeatedly applying q̂p̂ − p̂q̂ = i.
+    w_k = k! C(b,k) C(a,k).  The same weights reorder ∂^b x^a =
+    Σ_k w_k x^{a−k} ∂^{b−k} and give the symmetric shift between symbols
+    and normal-ordered operators.
     """
-    out: dict = {}
-    for k in range(min(b1, a2) + 1):
-        coeff = (
-            (-I) ** k
-            * CRat(math.factorial(k) * math.comb(b1, k) * math.comb(a2, k))
-        )
-        key = (a1 + a2 - k, b1 + b2 - k)
-        out[key] = out.get(key, CRat(0)) + coeff
-    return out
+    for k in range(min(a, b) + 1):
+        yield k, math.factorial(k) * math.comb(b, k) * math.comb(a, k)
+
+
+def _from_canonical(terms: dict) -> NCPoly:
+    """Normal-ordered NCPoly from a term map (a, b) -> coeff, in degree order."""
+    return NCPoly(
+        (c, "q" * a + "p" * b)
+        for (a, b), c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    )
 
 
 def nc_normalize(x: NCPoly) -> NCPoly:
     """Canonical normal-ordered form (all q̂ left of all p̂); idempotent."""
     total: dict = {}
     for coeff, word in x.terms:
-        # fold the word left to right, keeping a normal-ordered partial sum
+        # fold the word run by run, keeping a normal-ordered partial sum
         partial = {(0, 0): coeff}
-        for letter in word:
+        for letter, run in itertools.groupby(word):
+            r = len(list(run))
             nxt: dict = {}
             for (a, b), c in partial.items():
                 if letter == "p":
-                    key = (a, b + 1)
-                    nxt[key] = nxt.get(key, CRat(0)) + c
-                else:  # multiply by q̂ on the right
-                    for key, f in _normal_product(a, b, 1, 0).items():
-                        nxt[key] = nxt.get(key, CRat(0)) + c * f
-            partial = {k: v for k, v in nxt.items() if not v.is_zero()}
+                    nxt[(a, b + r)] = c
+                    continue
+                # (q̂^a p̂^b) q̂^r: move the run of q̂ left through p̂^b
+                for k, w in _reorder(b, r):
+                    key = (a + r - k, b - k)
+                    nxt[key] = nxt.get(key, CRat(0)) + c * (-I) ** k * w
+            partial = nxt
         for key, c in partial.items():
             total[key] = total.get(key, CRat(0)) + c
-    total = {k: v for k, v in total.items() if not v.is_zero()}
-    terms = [
-        (c, "q" * a + "p" * b)
-        for (a, b), c in sorted(total.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    ]
-    return NCPoly(terms)
+    return _from_canonical(total)
 
 
 # ----------------------------------------------------------------------
 # the symmetric correspondence
 # ----------------------------------------------------------------------
+
+
+def _symmetric_shift(terms: dict, z: CRat) -> dict:
+    """Map (a, b) -> Σ_k z^k k! C(a,k) C(b,k) (a−k, b−k) over a term map.
+
+    With z = i/2 this takes normal-ordered operator terms to symbol terms,
+    with z = −i/2 it takes symbol terms back to normal-ordered operators.
+    """
+    out: dict = {}
+    for (a, b), coeff in terms.items():
+        for k, w in _reorder(b, a):
+            key = (a - k, b - k)
+            out[key] = out.get(key, CRat(0)) + coeff * z ** k * w
+    return out
 
 
 def weyl_symbol(x: NCPoly) -> PolySymbol:
@@ -445,33 +467,16 @@ def weyl_symbol(x: NCPoly) -> PolySymbol:
     q̂'s and b p̂'s is exactly q^a p^b) and by mutual inversion with
     :func:`weyl_quantize`; both are enforced in the test suite.
     """
-    canon = nc_normalize(x)._canonical()
-    terms: dict = {}
-    for (a, b), coeff in canon.items():
-        for k in range(min(a, b) + 1):
-            c = (
-                (I / 2) ** k
-                * CRat(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
-            )
-            key = (a - k, b - k)
-            terms[key] = terms.get(key, CRat(0)) + coeff * c
-    return PolySymbol(_clean(terms))
+    return PolySymbol(_symmetric_shift(nc_normalize(x)._canonical(), I / 2))
 
 
 def _quantize_monomial_sumform(m: int, n: int) -> NCPoly:
     """First closed form: Σ_k (−i/2)^k k! C(m,k) C(n,k) q̂^{m−k} p̂^{n−k}."""
-    terms = []
-    for k in range(min(m, n) + 1):
-        c = (
-            (-I / 2) ** k
-            * CRat(math.factorial(k) * math.comb(m, k) * math.comb(n, k))
-        )
-        terms.append((c, "q" * (m - k) + "p" * (n - k)))
-    return NCPoly(terms)
+    return _from_canonical(_symmetric_shift({(m, n): ONE}, -I / 2))
 
 
 def _quantize_monomial_symform(m: int, n: int) -> NCPoly:
-    """Second closed form: 2^{−m} Σ_r C(m,r) q̂^{m−r} p̂^n q̂^r."""
+    """Second closed form: 2^{−m} Σ_r C(m,r) q̂^{m−r} p̂^n q̂^r (test oracle)."""
     terms = []
     half_m = CRat(Fraction(1, 2 ** m))
     for r in range(m + 1):
@@ -483,20 +488,12 @@ def _quantize_monomial_symform(m: int, n: int) -> NCPoly:
 def weyl_quantize(A: PolySymbol) -> NCPoly:
     """Operator polynomial with symbol A (inverse of :func:`weyl_symbol`).
 
-    Both closed forms of the monomial formula are computed and must agree
-    after normal ordering; a mismatch would indicate a broken invariant and
-    raises.  Returns the normal-ordered form.
+    Each monomial maps by the first closed form, q^m p^n -> Σ_k (−i/2)^k
+    k! C(m,k) C(n,k) q̂^{m−k} p̂^{n−k}, so the result is normal ordered.
+    Agreement with the second form, :func:`_quantize_monomial_symform`, is a
+    test invariant and is not checked here.
     """
-    total = NCPoly.zero()
-    for (m, n), coeff in A.terms.items():
-        form1 = nc_normalize(_quantize_monomial_sumform(m, n))
-        form2 = nc_normalize(_quantize_monomial_symform(m, n))
-        if form1._canonical() != form2._canonical():  # pragma: no cover
-            raise ArithmeticError(
-                f"quantization closed forms disagree on monomial q^{m} p^{n}"
-            )
-        total = total + form1 * coeff
-    return nc_normalize(total)
+    return _from_canonical(_symmetric_shift(A.terms, -I / 2))
 
 
 # ----------------------------------------------------------------------
@@ -525,19 +522,15 @@ def _j_power(A: PolySymbol, B: PolySymbol, k: int) -> PolySymbol:
 def star_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
     """Star product of polynomial symbols; terminating, exact.
 
-    Computed as Σ_k (i^k / k!) A J^k B and, independently, as
-    Σ_k ((−i)^k / k!) B J^k A; the two forms must agree term by term.
+    Computed as the left-acting series Σ_k (i^k / k!) A J^k B.  Its
+    agreement with the right-acting series Σ_k ((−i)^k / k!) B J^k A is a
+    test invariant, not checked here.
     """
-    kmax = A.degree() + B.degree()
-    left = PolySymbol.zero()
-    right = PolySymbol.zero()
-    for k in range(max(kmax, 0) + 1):
+    out = PolySymbol.zero()
+    for k in range(max(A.degree() + B.degree(), 0) + 1):
         inv_fact = CRat(Fraction(1, math.factorial(k)))
-        left = left + _j_power(A, B, k) * (I ** k) * inv_fact
-        right = right + _j_power(B, A, k) * ((-I) ** k) * inv_fact
-    if left != right:  # pragma: no cover - would signal an algebra bug
-        raise ArithmeticError("left- and right-acting star series disagree")
-    return left
+        out = out + _j_power(A, B, k) * (I ** k) * inv_fact
+    return out
 
 
 def moyal_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
@@ -611,48 +604,33 @@ def _fmt_vars(m: int, n: int) -> str:
     return "*".join(parts)
 
 
-def format_symbol(A: PolySymbol) -> str:
-    if not A.terms:
-        return "0"
-    keys = sorted(A.terms, key=lambda mn: (-(mn[0] + mn[1]), -mn[0]))
-    pieces = []
-    for key in keys:
-        coeff = A.terms[key]
-        vars_part = _fmt_vars(*key)
+def _join_terms(pairs) -> str:
+    """Print (coefficient, variables part) pairs as 'a + b - c'; '0' if none."""
+    out = []
+    for coeff, vars_part in pairs:
         coeff_part = _fmt_coeff(coeff, has_vars=bool(vars_part))
         if vars_part and coeff_part not in ("", "-"):
             piece = f"{coeff_part}*{vars_part}"
         else:
-            piece = f"{coeff_part}{vars_part}" if vars_part else coeff_part
-        pieces.append(piece)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
+            piece = coeff_part + vars_part
+        if not out:
+            out.append(piece)
+        elif piece.startswith("-"):
+            out.append(f" - {piece[1:]}")
         else:
-            out += f" + {piece}"
-    return out
+            out.append(f" + {piece}")
+    return "".join(out) or "0"
+
+
+def format_symbol(A: PolySymbol) -> str:
+    keys = sorted(A.terms, key=lambda mn: (-(mn[0] + mn[1]), -mn[0]))
+    return _join_terms((A.terms[key], _fmt_vars(*key)) for key in keys)
 
 
 def format_ncpoly(x: NCPoly) -> str:
-    if not x.terms:
-        return "0"
-    pieces = []
-    for coeff, word in x.terms:
-        vars_part = "*".join(f"{ch}hat" for ch in word)
-        coeff_part = _fmt_coeff(coeff, has_vars=bool(vars_part))
-        if vars_part and coeff_part not in ("", "-"):
-            piece = f"{coeff_part}*{vars_part}"
-        else:
-            piece = f"{coeff_part}{vars_part}" if vars_part else coeff_part or "1"
-        pieces.append(piece)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
-    return out
+    return _join_terms(
+        (coeff, "*".join(f"{ch}hat" for ch in word)) for coeff, word in x.terms
+    )
 
 
 _TOKEN_RE = re.compile(

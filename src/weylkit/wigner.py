@@ -217,27 +217,33 @@ def _parse_axes_header(line: str, kind: str):
     return axes
 
 
+def _read_csv(fh, kind: str):
+    """Split a CSV archive into its parsed axes header and its data lines."""
+    lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty {kind} CSV: missing axes header")
+    return _parse_axes_header(lines[0], kind), lines[1:]
+
+
 def read_phase_csv(fh):
     """Read a phase-function CSV; returns (array, GridSpec)."""
-    lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    (rows, dq), (cols, dp) = _parse_axes_header(lines[0], "phase")
+    ((rows, dq), (cols, dp)), lines = _read_csv(fh, "phase")
     if rows != 2 * cols:
         raise ValueError("phase axes must satisfy rows = 2 * cols")
     grid = GridSpec(cols, 2 * dq)
     if not math.isclose(grid.dp, dp, rel_tol=1e-12):
         raise ValueError("momentum spacing inconsistent with dp = pi/(n dx)")
-    A = _read_complex_rows(lines[1:], rows * cols, (rows, cols))
+    A = _read_complex_rows(lines, rows * cols, (rows, cols))
     return A, grid
 
 
 def read_kernel_csv(fh):
     """Read a kernel CSV; returns (array, GridSpec)."""
-    lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    (rows, dx), (cols, dy) = _parse_axes_header(lines[0], "kernel")
+    ((rows, dx), (cols, dy)), lines = _read_csv(fh, "kernel")
     if rows != cols or dx != dy:
         raise ValueError("kernel axes must be square with equal spacing")
     grid = GridSpec(rows, dx)
-    K = _read_complex_rows(lines[1:], rows * cols, (rows, cols))
+    K = _read_complex_rows(lines, rows * cols, (rows, cols))
     return K, grid
 
 
@@ -270,12 +276,16 @@ def kernel_to_json(K: np.ndarray, grid: GridSpec) -> dict:
 def _from_json(payload, expected_axes) -> tuple:
     if isinstance(payload, str):
         payload = json.loads(payload)
-    grid = GridSpec(int(payload["grid"]["n"]), float(payload["grid"]["dx"]))
-    if set(payload["axes"]) != set(expected_axes):
+    try:
+        grid = GridSpec(int(payload["grid"]["n"]), float(payload["grid"]["dx"]))
+        axes = set(payload["axes"])
+        data = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
+            payload["im"], dtype=float
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed array payload: {exc!r}") from exc
+    if axes != set(expected_axes):
         raise ValueError(f"expected axes {expected_axes}")
-    data = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
-        payload["im"], dtype=float
-    )
     return data, grid
 
 

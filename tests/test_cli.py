@@ -121,6 +121,7 @@ def test_missing_config_file(tmp_path, capsys):
         ("check", "star", "--tol", "-1"),
         ("check", "star", "--seed", "-3"),
         ("check", "star", "--format", "xml"),
+        ("wigner", "hermite:0", "--dx", "inf"),
     ],
 )
 def test_invalid_flag_values(capsys, args):

@@ -17,6 +17,10 @@ def test_grid_validation():
         GridSpec(8, 0.0)
     with pytest.raises(ValueError):
         GridSpec(8, -1.0)
+    with pytest.raises(ValueError):
+        GridSpec(4.0, 1.0)
+    with pytest.raises(ValueError):
+        GridSpec(8, float("inf"))
 
 
 def test_grid_geometry():

@@ -339,6 +339,24 @@ def test_sp2_report_shape():
     assert len(report["factorized_generators_pretty"]) == 3
 
 
+def test_factorized_generators_print_as_pinned():
+    assert hw_factorize().report()["factorized_generators_pretty"] == [
+        "p_hat = -i*Dx",
+        "q_hat = x",
+    ]
+    assert galilei_factorize().report()["factorized_generators_pretty"] == [
+        "H_hat = -(1/2)*Dx^2",
+        "K_hat = x",
+        "p_hat = -i*Dx",
+    ]
+    _, result = sp2_generators(Sp2Params("A"))
+    assert result.report()["factorized_generators_pretty"] == [
+        "A_1 = -(1/4)i - (1/2)i*x*Dx",
+        "A_2 = (1/4)*x^2 + (1/4)*Dx^2",
+        "A_3 = (1/4)*x^2 - (1/4)*Dx^2",
+    ]
+
+
 # ----------------------------------------------------------------------
 # time reversal
 # ----------------------------------------------------------------------

@@ -207,6 +207,33 @@ def test_table_mixed_cubic_rows_disagree_with_print():
     assert len(matched) == 8
 
 
+def test_table_printed_forms_are_pinned():
+    # (operator, recomputed generator, tabulated generator) as printed
+    expected = [
+        ("I", "0", "0"),
+        ("qhat", "i*Dp", "i*Dp"),
+        ("phat", "-i*Dq", "-i*Dq"),
+        ("qhat^2", "2i*q*Dp", "2i*q*Dp"),
+        ("phat^2", "-2i*p*Dq", "-2i*p*Dq"),
+        ("(qhat*phat + phat*qhat)/2", "i*p*Dp - i*q*Dq", "i*p*Dp - i*q*Dq"),
+        ("qhat^3", "3i*q^2*Dp - (1/4)i*Dp^3", "3i*q^2*Dp - (1/4)i*Dp^3"),
+        ("phat^3", "-3i*p^2*Dq + (1/4)i*Dq^3", "-3i*p^2*Dq + (1/4)i*Dq^3"),
+        (
+            "qhat*phat*qhat",
+            "2i*q*p*Dp - i*q^2*Dq + (1/4)i*Dq*Dp^2",
+            "2i*q*p*Dp - i*q^2*Dq + (1/8)i*Dq*Dp^2",
+        ),
+        (
+            "phat*qhat*phat",
+            "i*p^2*Dp - 2i*q*p*Dq - (1/4)i*Dq^2*Dp",
+            "i*p^2*Dp - 2i*q*p*Dq - (1/8)i*Dq^2*Dp",
+        ),
+    ]
+    rows = table1_check()["rows"]
+    printed = [(r["operator"], r["generator"], r["tabulated_generator"]) for r in rows]
+    assert printed == expected
+
+
 # ----------------------------------------------------------------------
 # potential row
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact symbol calculus: polynomials, operator words, transforms, printer."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from weylkit import (
     weyl_quantize,
     weyl_symbol,
 )
+from weylkit.symbols import _j_power
 
 Q = PolySymbol.q()
 P = PolySymbol.p()
@@ -207,6 +209,32 @@ def test_star_known_values():
     assert star_symbolic(P, Q) == Q * P - PolySymbol.constant(I / 2)
     assert moyal_symbolic(Q, P) == PolySymbol.one()
     assert moyal_symbolic(Q**2, P**2) == 4 * Q * P
+
+
+def _seeded_symbol(rng, degree):
+    out = PolySymbol.zero()
+    for _ in range(4):
+        m = int(rng.integers(0, degree + 1))
+        n = int(rng.integers(0, degree + 1 - m))
+        re = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+        im = Fraction(int(rng.integers(-6, 7)), 3)
+        out = out + PolySymbol.monomial(m, n, CRat(re, im))
+    return out
+
+
+def test_star_left_series_matches_right_acting_series():
+    # star_symbolic sums the left-acting series; the right-acting series
+    # Σ_k ((−i)^k/k!) B J^k A is an independent oracle for it
+    rng = np.random.default_rng(206)
+    for _ in range(20):
+        A = _seeded_symbol(rng, 6)
+        B = _seeded_symbol(rng, 6)
+        right = PolySymbol.zero()
+        for k in range(max(A.degree() + B.degree(), 0) + 1):
+            right = right + _j_power(B, A, k) * ((-I) ** k) * Fraction(
+                1, math.factorial(k)
+            )
+        assert star_symbolic(A, B) == right
 
 
 def test_star_identity_element():

@@ -229,6 +229,12 @@ def test_csv_malformed_inputs_raise():
     # inconsistent dp
     with pytest.raises(ValueError):
         read_phase_csv(io.StringIO("# axes q:16:0.25 p:8:0.5\n" + "0.0,0.0\n" * 128))
+    # empty input has no axes header
+    for reader in (read_phase_csv, read_kernel_csv):
+        with pytest.raises(ValueError):
+            reader(io.StringIO(""))
+        with pytest.raises(ValueError):
+            reader(io.StringIO("\n  \n"))
 
 
 def test_json_round_trips_are_exact():
@@ -253,3 +259,8 @@ def test_json_shape_and_axes_validation():
     del payload["axes"]["x"]
     with pytest.raises(ValueError):
         kernel_from_json(payload)
+    # missing keys and non-object payloads
+    for reader in (phase_from_json, kernel_from_json):
+        for bad in ("{}", "[]", '"text"', '{"grid": 8}', {"grid": {"n": 8}}):
+            with pytest.raises(ValueError):
+                reader(bad)
