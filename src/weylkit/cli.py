@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .checks import SUITE_NAMES, run_all, run_suite
 from .factorize import (
+    _DENSE_N_MAX,
     GaussianAlphaSpec,
     alpha_kernel_from_A,
     autv_residual,
@@ -241,6 +242,8 @@ def _load_state_file(path: str, n: int) -> np.ndarray:
             )
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed state file {path!r}: {exc}")
+    if not np.isfinite(psi).all():
+        raise UsageError(f"state file {path!r} holds non-finite samples")
     if psi.shape != (n,):
         raise UsageError(
             f"state file holds {psi.size} samples but the grid needs {n}"
@@ -280,8 +283,14 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
     if norm == 0.0:
         raise UsageError("state is identically zero")
     psi = psi / norm  # unit norm: dx * sum |psi|^2 = 1
-    W = wigner_of_state(psi, grid)
-    r1, r2 = purity_residual(W, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        W = wigner_of_state(psi, grid)
+        r1, r2 = purity_residual(W, grid)
+    if not (np.isfinite(W).all() and np.isfinite([norm, r1, r2]).all()):
+        raise UsageError(
+            f"the state on this grid (n = {grid.n}, dx = {grid.dx!r}) gives "
+            "non-finite values; choose a grid spacing within float range"
+        )
     name = _write_phase_array("wigner", W, grid, config)
     report = _envelope(
         "wigner",
@@ -383,6 +392,17 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
         spec = GaussianAlphaSpec(args.tau, args.sigma, args.epsilon)
     except ValueError as exc:
         raise UsageError(str(exc))
+    # --grid-n is checked as a grid when the config is built
+    if args.grid_n is not None:
+        if spec.epsilon != 1:
+            raise UsageError(
+                "--grid-n samples the generating symbol, which exists only "
+                "for epsilon = +1"
+            )
+        if args.grid_n > _DENSE_N_MAX:
+            raise UsageError(
+                f"--grid-n is limited to {_DENSE_N_MAX} (the kernel tabulation is dense)"
+            )
     threshold = config.tol if config.tol is not None else 1e-4
     R = spec.r_function()
     residual = autv_residual(R)
@@ -396,11 +416,6 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
 
     grid_consistency = None
     if args.grid_n is not None:
-        if spec.epsilon != 1:
-            raise UsageError(
-                "--grid-n samples the generating symbol, which exists only "
-                "for epsilon = +1"
-            )
         grid_consistency = _grid_consistency(spec, args.grid_n, config.seed)
 
     admitted = residual <= threshold

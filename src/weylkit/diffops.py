@@ -12,8 +12,10 @@ identity
 
     ∂^c x^e = Σ_k k! C(c,k) C(e,k) x^{e−k} ∂^{c−k}
 
-applied per variable; its weights come from :func:`weylkit.symbols._reorder`,
-the same weights that normal-order p̂^c q̂^e in the Weyl algebra.
+applied per variable by :func:`weylkit.symbols._normal_terms`, the same
+Leibniz routine that multiplies operator polynomials in the Weyl algebra.
+The ring code (storage, sums, scalar multiples, powers, equality) is the
+shared term-map base :class:`weylkit.symbols._TermMap`.
 
 These operators serve two roles: phase-space generators acting on symbols
 (variables ("q", "p")) and configuration-space operators in one or two
@@ -22,60 +24,39 @@ position variables (("x",) or ("x", "y")).
 
 from __future__ import annotations
 
-import itertools
-import math
-from fractions import Fraction
-
 from .rational import CRat, ONE
-from .symbols import PolySymbol, _join_terms, _reorder
+from .symbols import _SCALARS, PolySymbol, _join_terms, _normal_terms, _TermMap
 
 __all__ = ["DiffOp"]
 
 
-def _normal_terms(a, c, e, f):
-    """Normal order (x^a ∂^c)(x^e ∂^f) over all variables: yields (key, weight).
-
-    Each ∂^c_i is pushed through x^e_i with the weights of :func:`_reorder`;
-    the key is the (multiplication, derivative) exponent pair of the term.
-    """
-    choices = [list(_reorder(ci, ei)) for ci, ei in zip(c, e)]
-    for combo in itertools.product(*choices):
-        ks = [k for k, _ in combo]
-        mult = tuple(ai + ei - k for ai, ei, k in zip(a, e, ks))
-        der = tuple(ci + fi - k for ci, fi, k in zip(c, f, ks))
-        yield (mult, der), math.prod(w for _, w in combo)
-
-
-class DiffOp:
+class DiffOp(_TermMap):
     """A normal-ordered differential operator with polynomial coefficients.
 
     Terms map ((mult exponents), (derivative exponents)) -> coefficient,
     both exponent tuples indexed by position in ``variables``.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables",)
 
     def __init__(self, variables, terms: dict | None = None):
         variables = tuple(variables)
         if not variables or len(set(variables)) != len(variables):
             raise ValueError("variables must be a non-empty tuple of distinct names")
-        cleaned = {}
-        if terms:
-            d = len(variables)
-            for (mult, der), c in terms.items():
-                mult, der = tuple(map(int, mult)), tuple(map(int, der))
-                if len(mult) != d or len(der) != d:
-                    raise ValueError("exponent tuples must match variable count")
-                c = CRat.coerce(c)
-                if not c.is_zero():
-                    key = (mult, der)
-                    cleaned[key] = cleaned.get(key, CRat(0)) + c
-        cleaned = {k: v for k, v in cleaned.items() if not v.is_zero()}
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", cleaned)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("DiffOp is immutable")
+    def _new(self, terms: dict) -> "DiffOp":
+        out = super()._new(terms)
+        object.__setattr__(out, "variables", self.variables)
+        return out
+
+    def _key(self, key):
+        mult, der = (tuple(map(int, part)) for part in key)
+        d = len(self.variables)
+        if len(mult) != d or len(der) != d:
+            raise ValueError("exponent tuples must match variable count")
+        return mult, der
 
     # -- constructors ---------------------------------------------------
 
@@ -91,7 +72,7 @@ class DiffOp:
     def constant(cls, variables, c) -> "DiffOp":
         variables = tuple(variables)
         d = len(variables)
-        return cls(variables, {((0,) * d, (0,) * d): CRat.coerce(c)})
+        return cls(variables, {((0,) * d, (0,) * d): c})
 
     @classmethod
     def mult(cls, variables, name: str, power: int = 1, coeff=1) -> "DiffOp":
@@ -100,7 +81,7 @@ class DiffOp:
         d = len(variables)
         i = variables.index(name)
         mult = tuple(power if j == i else 0 for j in range(d))
-        return cls(variables, {(mult, (0,) * d): CRat.coerce(coeff)})
+        return cls(variables, {(mult, (0,) * d): coeff})
 
     @classmethod
     def deriv(cls, variables, name: str, power: int = 1, coeff=1) -> "DiffOp":
@@ -109,7 +90,7 @@ class DiffOp:
         d = len(variables)
         i = variables.index(name)
         der = tuple(power if j == i else 0 for j in range(d))
-        return cls(variables, {((0,) * d, der): CRat.coerce(coeff)})
+        return cls(variables, {((0,) * d, der): coeff})
 
     @classmethod
     def from_symbol_coefficient(cls, variables, A: PolySymbol, der) -> "DiffOp":
@@ -127,77 +108,30 @@ class DiffOp:
 
     # -- algebra ----------------------------------------------------------
 
-    def _check_same(self, other: "DiffOp"):
-        if self.variables != other.variables:
-            raise ValueError(
-                f"operator algebras differ: {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_same(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, CRat(0)) + c
-        return DiffOp(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return DiffOp(self.variables, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            c = CRat.coerce(other)
-            return DiffOp(self.variables, {k: v * c for k, v in self.terms.items()})
-        if isinstance(other, DiffOp):
-            return self.compose(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers must be non-negative integers")
-        out = DiffOp.identity(self.variables)
-        for _ in range(k):
-            out = out.compose(self)
-        return out
-
     def _coerce(self, value):
-        if isinstance(value, DiffOp):
-            return value
-        if isinstance(value, (int, Fraction, CRat)):
+        if isinstance(value, _SCALARS):
             return DiffOp.constant(self.variables, value)
-        return None
+        if not isinstance(value, DiffOp):
+            return None
+        if value.variables != self.variables:
+            raise ValueError(
+                f"operator algebras differ: {self.variables} vs {value.variables}"
+            )
+        return value
+
+    def _product(self, other: "DiffOp") -> "DiffOp":
+        return self.compose(other)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator composition self ∘ other, re-normal-ordered exactly."""
-        self._check_same(other)
-        terms: dict = {}
-        for (a, c), c1 in self.terms.items():
-            for (e, f), c2 in other.terms.items():
-                base = c1 * c2
-                for key, w in _normal_terms(a, c, e, f):
-                    terms[key] = terms.get(key, CRat(0)) + base * w
-        return DiffOp(self.variables, terms)
+        other = self._coerce(other)
+        return self._new(
+            _normal_terms(
+                (left, right, c1 * c2)
+                for left, c1 in self.terms.items()
+                for right, c2 in other.terms.items()
+            )
+        )
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
@@ -205,40 +139,21 @@ class DiffOp:
     def adjoint(self) -> "DiffOp":
         """Formal adjoint in the flat L2 pairing: (x^a ∂^c)† = (−1)^{|c|} ∂^c x^a."""
         zeros = (0,) * len(self.variables)
-        terms: dict = {}
+        pairs = []
         for (a, c), coeff in self.terms.items():
-            sign = ONE if sum(c) % 2 == 0 else CRat(-1)
-            base = coeff.conjugate() * sign
-            for key, w in _normal_terms(zeros, c, a, zeros):
-                terms[key] = terms.get(key, CRat(0)) + base * w
-        return DiffOp(self.variables, terms)
+            coeff = coeff.conjugate()
+            pairs.append(((zeros, c), (a, zeros), -coeff if sum(c) % 2 else coeff))
+        return self._new(_normal_terms(pairs))
 
     def conjugate_coefficients(self) -> "DiffOp":
         """Complex-conjugate every coefficient (derivatives untouched)."""
-        return DiffOp(
-            self.variables, {k: c.conjugate() for k, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            other = DiffOp.constant(self.variables, other)
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return self._new({k: c.conjugate() for k, c in self.terms.items()})
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def derivative_order(self) -> int:
         """Highest total derivative order appearing (-1 for the zero operator)."""
-        if not self.terms:
-            return -1
-        return max(sum(der) for (_, der) in self.terms)
+        return max((sum(der) for (_, der) in self.terms), default=-1)
 
     def constant_part(self) -> CRat:
         d = len(self.variables)
@@ -249,8 +164,9 @@ class DiffOp:
 
     def truncate_order(self, max_order: int) -> "DiffOp":
         """Drop every term whose total derivative order exceeds max_order."""
-        terms = {k: c for k, c in self.terms.items() if sum(k[1]) <= max_order}
-        return DiffOp(self.variables, terms)
+        return self._new(
+            {k: c for k, c in self.terms.items() if sum(k[1]) <= max_order}
+        )
 
     # -- actions ----------------------------------------------------------
 

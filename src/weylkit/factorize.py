@@ -59,6 +59,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# largest grid the sampled mode of alpha_kernel_from_A tabulates densely
+_DENSE_N_MAX = 32
+
 # Gaussian tails e^{-L^2/w} drop below 1e-12 for L = TAIL_FACTOR * sqrt(w).
 TAIL_FACTOR = math.sqrt(math.log(1e12))  # ~5.26
 
@@ -124,8 +127,8 @@ class GaussianAlphaSpec:
     background: float = 0.0
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.sigma > 0):
-            raise ValueError("tau and sigma must be positive")
+        if not (0 < self.tau < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("tau and sigma must be positive and finite")
         if self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
 
@@ -235,8 +238,8 @@ def alpha_kernel_from_A(
 
     if grid is None:
         raise ValueError("sampled mode requires the grid")
-    if grid.n > 32:
-        raise ValueError("dense kernel tabulation is limited to n <= 32")
+    if grid.n > _DENSE_N_MAX:
+        raise ValueError(f"dense kernel tabulation is limited to n <= {_DENSE_N_MAX}")
     A = np.asarray(A, dtype=complex)
     if A.shape != grid.phase_shape:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")

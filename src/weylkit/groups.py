@@ -38,13 +38,14 @@ from .grids import GridSpec
 from .lift import (
     LINE_VARS,
     PHASE_VARS,
+    _exact_positive,
     read_off_generator,
     split_test,
     xi_lift,
     z_conjugate,
 )
 from .rational import CRat, I
-from .symbols import NCPoly, PolySymbol, moyal_symbolic, nc_normalize, weyl_quantize
+from .symbols import NCPoly, PolySymbol, moyal_symbolic, weyl_quantize
 from .wigner import parity, weyl_wigner, weyl_wigner_inv, z_inv, z_map
 
 __all__ = [
@@ -73,17 +74,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def _exact_positive(value, name: str) -> Fraction:
-    """Coerce an exact positive parameter for the symbolic layer."""
-    if isinstance(value, int):
-        value = Fraction(value)
-    if not isinstance(value, Fraction):
-        raise ValueError(f"{name} must be an exact integer or Fraction")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
 def _lattice_steps(value: float, step: float):
     """Integer number of lattice steps in ``value``, or None if off-lattice."""
     t = value / step
@@ -101,7 +91,7 @@ def position_representation(op: NCPoly, hbar=1) -> DiffOp:
     p_coeff = -I * CRat(_exact_positive(hbar, "hbar"))
     terms = {
         ((a,), (b,)): c * p_coeff ** b
-        for (a, b), c in nc_normalize(op)._canonical().items()
+        for (a, b), c in op.terms.items()
     }
     return DiffOp(LINE_VARS, terms)
 

@@ -120,12 +120,15 @@ def xi_monomial(m: int, n: int) -> DiffOp:
 # ----------------------------------------------------------------------
 
 
-def _as_exact_hbar(hbar) -> Fraction:
-    if isinstance(hbar, int):
-        return Fraction(hbar)
-    if isinstance(hbar, Fraction):
-        return hbar
-    raise ValueError("hbar must be an exact integer or Fraction")
+def _exact_positive(value, name: str) -> Fraction:
+    """Coerce an exact positive parameter for the symbolic layer."""
+    if isinstance(value, int):
+        value = Fraction(value)
+    if not isinstance(value, Fraction):
+        raise ValueError(f"{name} must be an exact integer or Fraction")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def z_conjugate(alpha: DiffOp, hbar=1) -> DiffOp:
@@ -143,7 +146,7 @@ def z_conjugate(alpha: DiffOp, hbar=1) -> DiffOp:
     """
     if alpha.variables != PHASE_VARS:
         raise ValueError("z_conjugate expects an operator in (q, p)")
-    h = _as_exact_hbar(hbar)
+    h = _exact_positive(hbar, "hbar")
     x_op = DiffOp.mult(KERNEL_VARS, "x")
     y_op = DiffOp.mult(KERNEL_VARS, "y")
     dx = DiffOp.deriv(KERNEL_VARS, "x")
@@ -241,7 +244,7 @@ def read_off_generator(a_hat: DiffOp) -> PolySymbol:
     if a_hat.variables != LINE_VARS:
         raise ValueError("read_off_generator expects an operator in (x,)")
     operator = NCPoly(
-        (coeff * I**c, "q" * a + "p" * c) for ((a,), (c,)), coeff in a_hat.terms.items()
+        {(a, c): coeff * I**c for ((a,), (c,)), coeff in a_hat.terms.items()}
     )
     symbol = weyl_symbol(operator)
     body = symbol.without_constant()

@@ -5,11 +5,16 @@ coefficients (:class:`~weylkit.rational.CRat`):
 
 * :class:`PolySymbol` -- commutative polynomials A(q, p), the symbols;
 * :class:`NCPoly` -- noncommutative polynomials in the canonical pair
-  (q̂, p̂) with q̂p̂ − p̂q̂ = i (dimensionless units).
+  (q̂, p̂) with q̂p̂ − p̂q̂ = i (dimensionless units), stored in normal
+  order as a term map (a, b) -> coefficient of q̂^a p̂^b.
 
-One reordering identity underlies both: p̂^b q̂^a and ∂^b x^a are brought
-to normal order with the weights k! C(b,k) C(a,k) of :func:`_reorder`,
-which :func:`nc_normalize` and :class:`~weylkit.diffops.DiffOp` share.
+Both, and :class:`~weylkit.diffops.DiffOp`, are term maps with zero
+coefficients dropped and share one private ring base, :class:`_TermMap`.
+One reordering identity underlies the noncommutative products: p̂^b q̂^a
+and ∂^b x^a are brought to normal order with the weights k! C(b,k) C(a,k)
+of :func:`_reorder`, and the one Leibniz routine :func:`_normal_terms`
+applies them for the NCPoly product and adjoint (phase −i per
+contraction) and for DiffOp composition and adjoint (phase 1).
 
 The maps between the algebras are the symmetric (Weyl) correspondence:
 ``weyl_symbol`` sends an operator polynomial to its symbol and
@@ -50,15 +55,156 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
+# the shared term-map ring and the Leibniz product
+# ----------------------------------------------------------------------
+
+_SCALARS = (int, Fraction, CRat)
+
+
+def _accumulate(terms: dict, key, c: CRat) -> None:
+    terms[key] = terms[key] + c if key in terms else c
+
+
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if not c.is_zero()}
+
+
+class _TermMap:
+    """Ring code shared by the exact term-map algebras.
+
+    ``terms`` maps a monomial key to its coefficient.  Zero coefficients are
+    never stored, so equal maps are equal elements.  A subclass supplies
+    ``_coerce`` (an operand as an element of the same algebra; None for a
+    foreign type, ``ValueError`` for an incompatible algebra), the product
+    ``_product`` and, unless its keys are exponent pairs (m, n), the key
+    check ``_key``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        out: dict = {}
+        for key, c in (terms or {}).items():
+            _accumulate(out, self._key(key), CRat.coerce(c))
+        object.__setattr__(self, "terms", _nonzero(out))
+
+    def __setattr__(self, name, value):  # pragma: no cover
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _new(self, terms: dict):
+        """Same-algebra element from a map with checked keys; drops zeros."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "terms", _nonzero(terms))
+        return out
+
+    @staticmethod
+    def _key(key):
+        m, n = key
+        return int(m), int(n)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(terms, key, c)
+        return self._new(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            c = CRat.coerce(other)
+            return self._new({key: v * c for key, v in self.terms.items()})
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self * other
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("powers must be non-negative integers")
+        out = self._coerce(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except ValueError:  # a DiffOp over other variables
+            return False
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+def _reorder(b: int, a: int):
+    """Weights of p̂^b q̂^a = Σ_k (−i)^k w_k q̂^{a−k} p̂^{b−k}: yields (k, w_k).
+
+    w_k = k! C(b,k) C(a,k).  The same weights reorder ∂^b x^a =
+    Σ_k w_k x^{a−k} ∂^{b−k} and give the symmetric shift between symbols
+    and normal-ordered operators.
+    """
+    for k in range(min(a, b) + 1):
+        yield k, math.factorial(k) * math.comb(b, k) * math.comb(a, k)
+
+
+def _normal_terms(pairs, phase=1) -> dict:
+    """Normal-ordered Σ coeff·(x^a ∂^c)(x^e ∂^f) over ((a, c), (e, f), coeff).
+
+    Exponents are tuples with one entry per variable.  Each ∂^c_i is pushed
+    through x^e_i with the weights of :func:`_reorder`, and a term with k
+    contractions in all carries phase^k: phase 1 composes differential
+    operators, phase −i multiplies in the Weyl algebra (x -> q̂, ∂ -> p̂).
+    The map is keyed by (multiplication, derivative) exponents and may hold
+    zeros.
+    """
+    out: dict = {}
+    for (a, c), (e, f), coeff in pairs:
+        choices = [list(_reorder(ci, ei)) for ci, ei in zip(c, e)]
+        for combo in itertools.product(*choices):
+            ks = [k for k, _ in combo]
+            mult = tuple(ai + ei - k for ai, ei, k in zip(a, e, ks))
+            der = tuple(ci + fi - k for ci, fi, k in zip(c, f, ks))
+            weight = math.prod(w for _, w in combo) * phase ** sum(ks)
+            _accumulate(out, (mult, der), coeff * weight)
+    return out
+
+
+# ----------------------------------------------------------------------
 # commutative symbols
 # ----------------------------------------------------------------------
 
 
-def _clean(terms: dict) -> dict:
-    return {key: c for key, c in terms.items() if not c.is_zero()}
-
-
-class PolySymbol:
+class PolySymbol(_TermMap):
     """A polynomial in the commuting variables q and p.
 
     Terms are stored as a map (m, n) -> coefficient for the monomial
@@ -66,19 +212,7 @@ class PolySymbol:
     maps is equality of polynomials.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        cleaned = {}
-        if terms:
-            for (m, n), c in terms.items():
-                c = CRat.coerce(c)
-                if not c.is_zero():
-                    cleaned[(int(m), int(n))] = c
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("PolySymbol is immutable")
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------
 
@@ -92,7 +226,7 @@ class PolySymbol:
 
     @classmethod
     def monomial(cls, m: int, n: int, coeff=1) -> "PolySymbol":
-        return cls({(m, n): CRat.coerce(coeff)})
+        return cls({(m, n): coeff})
 
     @classmethod
     def q(cls) -> "PolySymbol":
@@ -104,68 +238,23 @@ class PolySymbol:
 
     @classmethod
     def constant(cls, c) -> "PolySymbol":
-        return cls({(0, 0): CRat.coerce(c)})
+        return cls({(0, 0): c})
 
     # -- ring operations ------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce_symbol(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, CRat(0)) + c
-        return PolySymbol(_clean(terms))
+    def _coerce(self, value):
+        if isinstance(value, PolySymbol):
+            return value
+        if isinstance(value, _SCALARS):
+            return PolySymbol.constant(value)
+        return None
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_symbol(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_symbol(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return PolySymbol({key: -c for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            c = CRat.coerce(other)
-            return PolySymbol({key: v * c for key, v in self.terms.items()})
-        other = _coerce_symbol(other)
-        if other is None:
-            return NotImplemented
+    def _product(self, other: "PolySymbol") -> "PolySymbol":
         terms: dict = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
-                key = (m1 + m2, n1 + n2)
-                terms[key] = terms.get(key, CRat(0)) + c1 * c2
-        return PolySymbol(_clean(terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("symbol powers must be non-negative integers")
-        out = PolySymbol.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = _coerce_symbol(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+                _accumulate(terms, (m1 + m2, n1 + n2), c1 * c2)
+        return self._new(terms)
 
     # -- calculus ---------------------------------------------------------
 
@@ -177,24 +266,19 @@ class PolySymbol:
                 continue
             factor = Fraction(math.perm(m, dq) * math.perm(n, dp))
             terms[(m - dq, n - dp)] = c * factor
-        return PolySymbol(_clean(terms))
+        return self._new(terms)
 
     def conjugate(self) -> "PolySymbol":
-        return PolySymbol({key: c.conjugate() for key, c in self.terms.items()})
+        return self._new({key: c.conjugate() for key, c in self.terms.items()})
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_real(self) -> bool:
         return all(c.is_real() for c in self.terms.values())
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m + n for (m, n) in self.terms)
+        return max((m + n for (m, n) in self.terms), default=-1)
 
     def coefficient(self, m: int, n: int) -> CRat:
         return self.terms.get((m, n), CRat(0))
@@ -203,17 +287,13 @@ class PolySymbol:
         return self.coefficient(0, 0)
 
     def without_constant(self) -> "PolySymbol":
-        terms = {k: c for k, c in self.terms.items() if k != (0, 0)}
-        return PolySymbol(terms)
+        return self._new({k: c for k, c in self.terms.items() if k != (0, 0)})
 
     def swap_covariant(self) -> "PolySymbol":
         """The substitution q -> p, p -> -q pushed through the term map."""
-        terms: dict = {}
-        for (m, n), c in self.terms.items():
-            sign = ONE if n % 2 == 0 else CRat(-1)
-            key = (n, m)
-            terms[key] = terms.get(key, CRat(0)) + c * sign
-        return PolySymbol(_clean(terms))
+        return self._new(
+            {(n, m): c if n % 2 == 0 else -c for (m, n), c in self.terms.items()}
+        )
 
     def evaluate(self, q, p):
         """Evaluate numerically (q, p may be numpy arrays)."""
@@ -229,44 +309,52 @@ class PolySymbol:
         return f"PolySymbol({format_symbol(self)!r})"
 
 
-def _coerce_symbol(value):
-    if isinstance(value, PolySymbol):
-        return value
-    if isinstance(value, (int, Fraction, CRat)):
-        return PolySymbol.constant(value)
-    return None
-
-
 # ----------------------------------------------------------------------
 # noncommutative polynomials in (q̂, p̂)
 # ----------------------------------------------------------------------
 
 _WORD_RE = re.compile(r"^[qp]*$")
+_BLOCK_RE = re.compile(r"q*p*")
 
 
-class NCPoly:
+def _nc_terms(pairs) -> dict:
+    """Normal-ordered Σ coeff·(q̂^a p̂^b)(q̂^e p̂^f) over ((a, b), (e, f), coeff)."""
+    line = _normal_terms(
+        ((((a,), (b,)), ((e,), (f,)), c) for (a, b), (e, f), c in pairs), -I
+    )
+    return {(m, d): c for ((m,), (d,)), c in line.items()}
+
+
+class NCPoly(_TermMap):
     """A polynomial in the noncommuting pair q̂, p̂ with q̂p̂ − p̂q̂ = i.
 
-    Stored as a list of (coefficient, word) pairs where a word is a string
-    over the alphabet {"q", "p"} (empty word = identity).  Words need not be
-    normal-ordered; :func:`nc_normalize` produces the canonical form with
-    every q̂ to the left of every p̂.  Equality compares canonical forms.
+    Stored normal ordered, as a map (a, b) -> coefficient for q̂^a p̂^b
+    (every q̂ left of every p̂); zero coefficients are never stored, so
+    equality of term maps is equality of operators.  The constructor takes
+    such a map, or (coefficient, word) pairs where a word is a string over
+    {"q", "p"} (empty word = identity); each word is normal ordered once,
+    as the product of its q̂^a p̂^b blocks.  Terms keep the order in which
+    they first appear; :func:`nc_normalize` sorts them by degree.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=()):
-        checked = []
+        if isinstance(terms, dict):
+            super().__init__(terms)
+            return
+        out: dict = {}
         for coeff, word in terms:
-            coeff = CRat.coerce(coeff)
             if not _WORD_RE.match(word):
                 raise ValueError(f"invalid operator word {word!r}")
-            if not coeff.is_zero():
-                checked.append((coeff, word))
-        object.__setattr__(self, "terms", tuple(checked))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("NCPoly is immutable")
+            part = {(0, 0): CRat.coerce(coeff)}
+            for block in filter(None, _BLOCK_RE.findall(word)):
+                a = block.count("q")
+                right = (a, len(block) - a)
+                part = _nc_terms((key, right, c) for key, c in part.items())
+            for key, c in part.items():
+                _accumulate(out, key, c)
+        object.__setattr__(self, "terms", _nonzero(out))
 
     # -- constructors ---------------------------------------------------
 
@@ -276,11 +364,11 @@ class NCPoly:
 
     @classmethod
     def identity(cls) -> "NCPoly":
-        return cls([(ONE, "")])
+        return cls({(0, 0): ONE})
 
     @classmethod
     def from_word(cls, word: str, coeff=1) -> "NCPoly":
-        return cls([(CRat.coerce(coeff), word)])
+        return cls([(coeff, word)])
 
     @classmethod
     def q(cls) -> "NCPoly":
@@ -293,91 +381,36 @@ class NCPoly:
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "NCPoly":
         """The normal-ordered monomial q̂^a p̂^b."""
-        return cls.from_word("q" * a + "p" * b, coeff)
+        return cls({(a, b): coeff})
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return NCPoly(self.terms + other.terms)
+    def _coerce(self, value):
+        if isinstance(value, NCPoly):
+            return value
+        if isinstance(value, _SCALARS):
+            return NCPoly({(0, 0): value})
+        return None
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return NCPoly([(-c, w) for c, w in self.terms])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            c = CRat.coerce(other)
-            return NCPoly([(v * c, w) for v, w in self.terms])
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        terms = [
-            (c1 * c2, w1 + w2) for c1, w1 in self.terms for c2, w2 in other.terms
-        ]
-        return NCPoly(terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers must be non-negative integers")
-        out = NCPoly.identity()
-        for _ in range(k):
-            out = out * self
-        return out
+    def _product(self, other: "NCPoly") -> "NCPoly":
+        return self._new(
+            _nc_terms(
+                (k1, k2, c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in other.terms.items()
+            )
+        )
 
     def adjoint(self) -> "NCPoly":
-        """Formal adjoint: reverse each word, conjugate each coefficient."""
-        return NCPoly([(c.conjugate(), w[::-1]) for c, w in self.terms])
+        """Formal adjoint: (c q̂^a p̂^b)† = conj(c) p̂^b q̂^a, normal ordered."""
+        pairs = (((0, b), (a, 0), c.conjugate()) for (a, b), c in self.terms.items())
+        return self._new(_nc_terms(pairs))
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
 
-    def __eq__(self, other):
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return nc_normalize(self)._canonical() == nc_normalize(other)._canonical()
-
-    def __hash__(self):
-        return hash(frozenset(nc_normalize(self)._canonical().items()))
-
-    def _canonical(self) -> dict:
-        """Term map (a, b) -> coeff, assuming already normal ordered."""
-        out: dict = {}
-        for c, w in self.terms:
-            a = w.count("q")
-            key = (a, len(w) - a)
-            out[key] = out.get(key, CRat(0)) + c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def is_normal_ordered(self) -> bool:
-        return all("pq" not in w for _, w in self.terms)
-
     def degree(self) -> int:
-        canon = nc_normalize(self)._canonical()
-        if not canon:
-            return -1
-        return max(a + b for (a, b) in canon)
+        return max((a + b for (a, b) in self.terms), default=-1)
 
     def __str__(self) -> str:
         return format_ncpoly(self)
@@ -386,54 +419,18 @@ class NCPoly:
         return f"NCPoly({format_ncpoly(self)!r})"
 
 
-def _coerce_nc(value):
-    if isinstance(value, NCPoly):
-        return value
-    if isinstance(value, (int, Fraction, CRat)):
-        return NCPoly([(CRat.coerce(value), "")])
-    return None
-
-
-def _reorder(b: int, a: int):
-    """Weights of p̂^b q̂^a = Σ_k (−i)^k w_k q̂^{a−k} p̂^{b−k}: yields (k, w_k).
-
-    w_k = k! C(b,k) C(a,k).  The same weights reorder ∂^b x^a =
-    Σ_k w_k x^{a−k} ∂^{b−k} and give the symmetric shift between symbols
-    and normal-ordered operators.
-    """
-    for k in range(min(a, b) + 1):
-        yield k, math.factorial(k) * math.comb(b, k) * math.comb(a, k)
-
-
 def _from_canonical(terms: dict) -> NCPoly:
-    """Normal-ordered NCPoly from a term map (a, b) -> coeff, in degree order."""
-    return NCPoly(
-        (c, "q" * a + "p" * b)
-        for (a, b), c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    )
+    """NCPoly from a term map (a, b) -> coeff, in ascending degree order."""
+    return NCPoly(dict(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))))
 
 
 def nc_normalize(x: NCPoly) -> NCPoly:
-    """Canonical normal-ordered form (all q̂ left of all p̂); idempotent."""
-    total: dict = {}
-    for coeff, word in x.terms:
-        # fold the word run by run, keeping a normal-ordered partial sum
-        partial = {(0, 0): coeff}
-        for letter, run in itertools.groupby(word):
-            r = len(list(run))
-            nxt: dict = {}
-            for (a, b), c in partial.items():
-                if letter == "p":
-                    nxt[(a, b + r)] = c
-                    continue
-                # (q̂^a p̂^b) q̂^r: move the run of q̂ left through p̂^b
-                for k, w in _reorder(b, r):
-                    key = (a + r - k, b - k)
-                    nxt[key] = nxt.get(key, CRat(0)) + c * (-I) ** k * w
-            partial = nxt
-        for key, c in partial.items():
-            total[key] = total.get(key, CRat(0)) + c
-    return _from_canonical(total)
+    """The same operator with its terms in canonical order; idempotent.
+
+    An NCPoly is always stored normal ordered (all q̂ left of all p̂); the
+    canonical order sorts its terms by total degree, then by the power of q̂.
+    """
+    return _from_canonical(x.terms)
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +464,7 @@ def weyl_symbol(x: NCPoly) -> PolySymbol:
     q̂'s and b p̂'s is exactly q^a p^b) and by mutual inversion with
     :func:`weyl_quantize`; both are enforced in the test suite.
     """
-    return PolySymbol(_symmetric_shift(nc_normalize(x)._canonical(), I / 2))
+    return PolySymbol(_symmetric_shift(x.terms, I / 2))
 
 
 def _quantize_monomial_sumform(m: int, n: int) -> NCPoly:
@@ -629,7 +626,8 @@ def format_symbol(A: PolySymbol) -> str:
 
 def format_ncpoly(x: NCPoly) -> str:
     return _join_terms(
-        (coeff, "*".join(f"{ch}hat" for ch in word)) for coeff, word in x.terms
+        (coeff, "*".join(["qhat"] * a + ["phat"] * b))
+        for (a, b), coeff in x.terms.items()
     )
 
 
@@ -769,10 +767,8 @@ def nc_matrix(x: NCPoly, size: int):
     raise_ = lower.T.conj()
     qmat = (lower + raise_) / np.sqrt(2.0)
     pmat = 1j * (raise_ - lower) / np.sqrt(2.0)
+    power = np.linalg.matrix_power
     total = np.zeros((size, size), dtype=complex)
-    for coeff, word in x.terms:
-        term = np.eye(size, dtype=complex)
-        for ch in word:
-            term = term @ (qmat if ch == "q" else pmat)
-        total += coeff.to_complex() * term
+    for (a, b), coeff in x.terms.items():
+        total += coeff.to_complex() * (power(qmat, a) @ power(pmat, b))
     return total

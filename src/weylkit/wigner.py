@@ -277,7 +277,7 @@ def _from_json(payload, expected_axes) -> tuple:
     if isinstance(payload, str):
         payload = json.loads(payload)
     try:
-        grid = GridSpec(int(payload["grid"]["n"]), float(payload["grid"]["dx"]))
+        grid = GridSpec(payload["grid"]["n"], float(payload["grid"]["dx"]))
         axes = set(payload["axes"])
         data = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
             payload["im"], dtype=float

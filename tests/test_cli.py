@@ -122,6 +122,9 @@ def test_missing_config_file(tmp_path, capsys):
         ("check", "star", "--seed", "-3"),
         ("check", "star", "--format", "xml"),
         ("wigner", "hermite:0", "--dx", "inf"),
+        ("factorize", "--tau", "1", "--sigma", "1", "--epsilon", "1", "--grid-n", "64"),
+        ("factorize", "--tau", "inf", "--sigma", "1", "--epsilon", "1"),
+        ("factorize", "--tau", "1", "--sigma", "inf", "--epsilon", "1"),
     ],
 )
 def test_invalid_flag_values(capsys, args):
@@ -280,6 +283,32 @@ def test_wigner_bad_state_file(tmp_path, capsys):
     bad.write_text(json.dumps({"re": [1.0, 2.0]}))  # wrong length
     code, _, err = run(capsys, "wigner", f"file:{bad}")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [("nan.json", '{"re": [1.0, NaN, 0.0, 0.0]}'), ("inf.csv", "1.0\ninf,0\n0\n0\n")],
+)
+def test_wigner_non_finite_state_file(tmp_path, capsys, name, content):
+    state = tmp_path / name
+    state.write_text(content)
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "wigner", f"file:{state}", "--grid-n", "4", "--out", str(out_dir)
+    )
+    assert code == 2 and "error:" in err and not out
+    assert not out_dir.exists()
+
+
+def test_wigner_out_of_range_spacing_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.warns(UserWarning):  # the basis outgrows the tiny grid
+        code, out, err = run(
+            capsys, "wigner", "hermite:0", "--grid-n", "4", "--dx", "1e-300",
+            "--out", str(out_dir),
+        )
+    assert code == 2 and "error:" in err and not out
+    assert not out_dir.exists()
 
 
 # ----------------------------------------------------------------------

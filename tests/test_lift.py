@@ -127,6 +127,12 @@ def test_z_conjugate_generator_images():
         z_conjugate(DiffOp.identity(PHASE_VARS), hbar=0.5)
 
 
+@pytest.mark.parametrize("hbar", [0, -1, 1.5])
+def test_z_conjugate_rejects_non_positive_or_inexact_hbar(hbar):
+    with pytest.raises(ValueError):
+        z_conjugate(xi_lift(Q * Q), hbar=hbar)
+
+
 def test_split_accepts_lifted_generators():
     for symbol in [Q, P, Q * P, Q**3, Q**2 * P, 2 * P**4 - Q**2]:
         result = split_test(z_conjugate(xi_lift(symbol)))

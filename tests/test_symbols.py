@@ -56,10 +56,14 @@ def symbols(max_degree: int = 5, *, real: bool = False):
     )
 
 
-def operators(max_length: int = 5):
+def operator_words(max_length: int = 5):
     word = st.text(alphabet="qp", min_size=0, max_size=max_length)
     term = st.tuples(coeffs, word)
-    return st.lists(term, min_size=0, max_size=3).map(NCPoly)
+    return st.lists(term, min_size=0, max_size=3)
+
+
+def operators(max_length: int = 5):
+    return operator_words(max_length).map(NCPoly)
 
 
 # ----------------------------------------------------------------------
@@ -116,8 +120,6 @@ def test_normal_ordering_examples():
     qh, ph = NCPoly.q(), NCPoly.p()
     pq = nc_normalize(ph * qh)
     assert pq == NCPoly([(ONE, "qp"), (-I, "")])
-    assert pq.is_normal_ordered()
-    assert not (ph * qh).is_normal_ordered()
     # p̂ q̂^2 = q̂^2 p̂ − 2i q̂
     assert nc_normalize(ph * qh * qh) == NCPoly(
         [(ONE, "qqp"), (CRat(0, -2), "q")]
@@ -152,6 +154,24 @@ def test_nc_matrix_oracle_agrees_with_word_algebra():
     assert np.allclose(
         product[lead], (nc_matrix(x, size) @ nc_matrix(y, size))[lead], atol=1e-10
     )
+
+
+@given(operator_words(5))
+def test_word_input_matches_letter_by_letter_matrices(words):
+    # the oracle multiplies truncated-oscillator matrices letter by letter
+    # in each raw word, independently of the library's normal ordering
+    size = 12
+    lower = np.diag(np.sqrt(np.arange(1, size)), k=1)
+    qmat = (lower + lower.T) / np.sqrt(2.0)
+    pmat = 1j * (lower.T - lower) / np.sqrt(2.0)
+    expected = np.zeros((size, size), dtype=complex)
+    for coeff, word in words:
+        term = np.eye(size, dtype=complex)
+        for letter in word:
+            term = term @ (qmat if letter == "q" else pmat)
+        expected += coeff.to_complex() * term
+    lead = np.s_[:6, :6]
+    assert np.allclose(nc_matrix(NCPoly(words), size)[lead], expected[lead], atol=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -259,6 +259,11 @@ def test_json_shape_and_axes_validation():
     del payload["axes"]["x"]
     with pytest.raises(ValueError):
         kernel_from_json(payload)
+    # a non-integral grid size is rejected, not truncated
+    payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+    payload["grid"]["n"] = 8.7
+    with pytest.raises(ValueError):
+        phase_from_json(payload)
     # missing keys and non-object payloads
     for reader in (phase_from_json, kernel_from_json):
         for bad in ("{}", "[]", '"text"', '{"grid": 8}', {"grid": {"n": 8}}):
