@@ -135,8 +135,11 @@ def _grid(config: RunConfig) -> GridSpec:
 # ----------------------------------------------------------------------
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(report)
 
 
 def _envelope(command: str, config: RunConfig, body: dict) -> dict:
@@ -177,7 +180,11 @@ def _write_phase_array(stem: str, A, grid: GridSpec, config: RunConfig) -> str:
         with open(path, "w") as fh:
             write_phase_csv(fh, A, grid)
     else:
-        path.write_text(canonical_json(phase_to_json(A, grid)) + "\n")
+        # the chunks of canonical_json, written without first joining them
+        # into one string: that copy would set the command's peak memory
+        with open(path, "w") as fh:
+            fh.writelines(_CANONICAL.iterencode(phase_to_json(A, grid), _one_shot=True))
+            fh.write("\n")
     return name
 
 
@@ -206,7 +213,7 @@ def _split_superposition(text: str) -> list:
     return [t for t in terms if t.strip()]
 
 
-def _basis_state(name: str, basis, r_max: int) -> np.ndarray:
+def _basis_index(name: str, r_max: int) -> int:
     kind, sep, index = name.partition(":")
     if kind != "hermite" or not sep:
         raise UsageError(f"unknown state name {name!r} (expected 'hermite:k')")
@@ -216,7 +223,7 @@ def _basis_state(name: str, basis, r_max: int) -> np.ndarray:
         raise UsageError(f"bad basis index in {name!r}")
     if not 0 <= k < r_max:
         raise UsageError(f"basis index {k} out of range (r_max = {r_max})")
-    return basis[k]
+    return k
 
 
 def _load_state_file(path: str, n: int) -> np.ndarray:
@@ -255,8 +262,7 @@ def _parse_state(spec: str, grid: GridSpec, r_max: int) -> np.ndarray:
     spec = spec.strip()
     if spec.startswith("file:"):
         return _load_state_file(spec[5:], grid.n)
-    basis = hermite_basis(grid, r_max)
-    psi = np.zeros(grid.n, dtype=complex)
+    terms = []
     for term in _split_superposition(spec):
         term = term.strip()
         sign = 1.0
@@ -272,7 +278,12 @@ def _parse_state(spec: str, grid: GridSpec, r_max: int) -> np.ndarray:
                 raise UsageError(f"bad coefficient {coeff_text!r} in state")
         else:
             coeff, name = 1.0, term
-        psi = psi + sign * coeff * _basis_state(name.strip(), basis, r_max)
+        terms.append((sign * coeff, _basis_index(name.strip(), r_max)))
+    # rows only up to the highest referenced index, however large r_max is
+    basis = hermite_basis(grid, max((k for _, k in terms), default=0) + 1)
+    psi = np.zeros(grid.n, dtype=complex)
+    for coeff, k in terms:
+        psi = psi + coeff * basis[k]
     return psi
 
 

@@ -143,7 +143,9 @@ def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
     both ~0 exactly when W is the Wigner function of a unit-norm state.
     """
     W = np.asarray(W, dtype=complex)
-    r1 = float(np.max(np.abs(star(W, W, grid) - W / (2 * math.pi))))
+    K = weyl_wigner_inv(W, grid)
+    square = weyl_wigner(K @ K * grid.dx, grid)  # W ⋆ W from one kernel
+    r1 = float(np.max(np.abs(square - W / (2 * math.pi))))
     cell = grid.cell
     r2 = float(
         abs(2 * math.pi * np.sum(W ** 2) * cell - 1) + abs(np.sum(W) * cell - 1)
@@ -154,7 +156,9 @@ def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
 def star_unitary_residual(U: np.ndarray, grid: GridSpec) -> float:
     """max |U ⋆ U† − identity_phase| — zero iff the kernel of U is unitary.
 
-    U† is the phase function of the conjugate-transposed kernel.
+    U† is the phase function of the conjugate-transposed kernel, so the
+    product is formed in kernel space as K_U K_U† dx.
     """
-    product = star(U, star_adjoint(U, grid), grid)
+    K = weyl_wigner_inv(U, grid)
+    product = weyl_wigner(K @ K.conj().T * grid.dx, grid)
     return float(np.max(np.abs(product - identity_phase(grid))))

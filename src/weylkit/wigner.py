@@ -7,9 +7,23 @@ The transform maps an n×n sampled integral kernel K(x_i, x_j) to a
 
 one row per kernel anti-diagonal i + j = s (midpoint q_s = (s−n) dx/2),
 with the parity-matched momentum grid p_k = (k − n/2 + σ/2) dp, σ = s mod 2
-and dp = π/(n dx).  Each row is a single length-n FFT after a fixed phase
-twist, so the transform and its inverse are exact mutual inverses in exact
-arithmetic and round-trip at machine precision in floats.
+and dp = π/(n dx).
+
+Row layout.  Row s stores its anti-diagonal by centred offset: slot m holds
+K[i, j] with i − j = 2m' + σ, where m' ≡ m (mod n) is taken in [−n/2, n/2)
+(slots with no such kernel entry hold 0).  In this layout the phase
+factorises as
+
+    exp(i p_k (s − 2i) dx) = c_σ[k] / (2 dx) · exp(−2πi k m/n) · w_σ[m],
+    w_σ[m] = (−1)^{m'} exp(−iπσ m'/n),
+    c_σ[k] = 2 dx exp(iπσ ((n − σ)/(2n) − k/n)),
+
+so each row is one length-n FFT between two 1-d phase vectors that depend
+only on the parity, every phase argument lies within π, and the transform
+and its inverse are exact mutual inverses in exact arithmetic and
+round-trip at machine precision in floats.  The slot index of each kernel
+entry and the vectors w_σ, c_σ are built once per grid (``_plan``, cached
+on the ``GridSpec``).
 
 Structural facts used throughout (and enforced by tests):
 
@@ -25,8 +39,10 @@ intertwiner between the two-point and phase-space pictures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,39 +71,38 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def _antidiagonal_mask(grid: GridSpec):
-    """Index arrays mapping kernel entries onto phase rows.
+class _Plan(NamedTuple):
+    """Per-grid tables of the transform in the centred-offset layout.
 
-    Returns (valid, i_idx, j_idx): ``valid`` is the (2n, n) boolean mask of
-    (row s, column i) pairs for which j = s − i is a kernel column, and
-    i_idx/j_idx are the kernel indices of the True positions (row-major).
+    ``scatter[i, j]`` is the flat slot s·n + m of kernel entry (i, j) in
+    the (2n, n) row layout; ``weight[σ]`` and ``phase[σ]`` are the vectors
+    w_σ and c_σ of the module docstring.
     """
+
+    scatter: np.ndarray
+    weight: np.ndarray
+    phase: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(grid: GridSpec) -> _Plan:
     n = grid.n
-    s = np.arange(2 * n)[:, None]
-    i = np.arange(n)[None, :]
-    j = s - i
-    valid = (j >= 0) & (j < n)
-    i_idx = np.broadcast_to(i, valid.shape)[valid]
-    j_idx = j[valid]
-    return valid, i_idx, j_idx
-
-
-def _row_twist(grid: GridSpec) -> np.ndarray:
-    """(2n, n) twist (−1)^i exp(−iπσi/n) applied before the row FFTs."""
-    n = grid.n
-    i = np.arange(n)
-    base = np.where(i % 2 == 0, 1.0, -1.0).astype(complex)
-    odd = base * np.exp(-1j * math.pi * i / n)
-    out = np.empty((2 * n, n), dtype=complex)
-    out[0::2] = base
-    out[1::2] = odd
-    return out
-
-
-def _row_prefactor(grid: GridSpec) -> np.ndarray:
-    """(2n, n) outer prefactor 2 dx exp(i p_k s dx)."""
-    s = np.arange(2 * grid.n)[:, None]
-    return 2 * grid.dx * np.exp(1j * grid.p_matrix() * s * grid.dx)
+    index = np.int32 if 2 * n * n <= 2**31 else np.intp
+    i = np.arange(n, dtype=index)[:, None]
+    j = np.arange(n, dtype=index)[None, :]
+    s = i + j
+    scatter = s * n + (i - j - s % 2) // 2 % n
+    m = np.arange(n)
+    centred = (m + n // 2) % n - n // 2  # m' ≡ m (mod n), in [−n/2, n/2)
+    sigma = np.arange(2)[:, None]
+    weight = (-1.0) ** centred * np.exp(-1j * math.pi * sigma * centred / n)
+    phase = 2 * grid.dx * np.exp(
+        1j * math.pi * sigma * ((n - sigma) / (2 * n) - m / n)
+    )
+    tables = _Plan(scatter, weight, phase)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller on this grid
+    return tables
 
 
 def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -99,11 +114,14 @@ def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
     K = np.asarray(K)
     if K.shape != grid.kernel_shape:
         raise ValueError(f"kernel must have shape {grid.kernel_shape}")
-    valid, i_idx, j_idx = _antidiagonal_mask(grid)
-    g = np.zeros(grid.phase_shape, dtype=complex)
-    g[valid] = K[i_idx, j_idx]
-    g *= _row_twist(grid)
-    return _row_prefactor(grid) * np.fft.fft(g, axis=1)
+    n = grid.n
+    plan = _plan(grid)
+    rows = np.zeros((n, 2, n), dtype=complex)  # axis 1 is the parity σ
+    rows.reshape(-1)[plan.scatter] = K
+    rows *= plan.weight
+    A = np.fft.fft(rows, axis=2)
+    A *= plan.phase
+    return A.reshape(grid.phase_shape)
 
 
 def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -114,12 +132,11 @@ def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != grid.phase_shape:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
-    g = np.fft.ifft(A / _row_prefactor(grid), axis=1)
-    g *= np.conj(_row_twist(grid))
-    valid, i_idx, j_idx = _antidiagonal_mask(grid)
-    K = np.zeros(grid.kernel_shape, dtype=complex)
-    K[i_idx, j_idx] = g[valid]
-    return K
+    n = grid.n
+    plan = _plan(grid)
+    rows = np.fft.ifft(A.reshape(n, 2, n) * (1 / plan.phase), axis=2)
+    rows *= plan.weight.conj()
+    return rows.ravel()[plan.scatter]
 
 
 def z_map(K: np.ndarray, grid: GridSpec) -> np.ndarray:

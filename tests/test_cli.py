@@ -127,9 +127,12 @@ def test_missing_config_file(tmp_path, capsys):
         ("factorize", "--tau", "1", "--sigma", "inf", "--epsilon", "1"),
     ],
 )
-def test_invalid_flag_values(capsys, args):
+def test_invalid_flag_values(tmp_path, monkeypatch, capsys, args):
+    # no --out: a case that got past validation would write into the cwd
+    monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, *args)
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +226,16 @@ def test_wigner_superposition_is_normalized(tmp_path, capsys):
     assert body["purity"]["idempotency"] < 1e-8
 
 
+def test_wigner_json_array_is_canonical_text(tmp_path, capsys):
+    from weylkit.wigner import phase_from_json, phase_to_json
+
+    code, out, _ = run(capsys, "wigner", "hermite:1", "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / json.loads(out)["files"]["wigner"]).read_text()
+    A, grid = phase_from_json(text)  # floats round-trip bit-exactly
+    assert text == canonical_json(phase_to_json(A, grid)) + "\n"
+
+
 def test_wigner_csv_output(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -276,6 +289,29 @@ def test_wigner_bad_states(capsys, state):
     code, _, err = run(capsys, "wigner", state)
     assert code == 2
     assert "error:" in err
+
+
+def test_wigner_builds_only_the_referenced_basis_rows(tmp_path, monkeypatch, capsys):
+    import weylkit.cli
+
+    counts = []
+    build = weylkit.cli.hermite_basis
+
+    def recording_basis(grid, count):
+        counts.append(count)
+        return build(grid, count)
+
+    monkeypatch.setattr(weylkit.cli, "hermite_basis", recording_basis)
+    code, _, _ = run(
+        capsys, "wigner", "hermite:0", "--r-max", "100000", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert counts == [1]
+    code, _, _ = run(
+        capsys, "wigner", "hermite:0 + hermite:3", "--out", str(tmp_path / "b")
+    )
+    assert code == 0
+    assert counts == [1, 4]
 
 
 def test_wigner_bad_state_file(tmp_path, capsys):

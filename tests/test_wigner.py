@@ -19,6 +19,7 @@ from weylkit import (
     z_map,
 )
 from weylkit.wigner import (
+    _plan,
     kernel_from_json,
     kernel_to_json,
     phase_from_json,
@@ -45,6 +46,43 @@ def test_round_trips_at_machine_precision():
         assert np.max(np.abs(weyl_wigner_inv(A, GRID) - K)) < 1e-12
         B = weyl_wigner(weyl_wigner_inv(A, GRID), GRID)
         assert np.max(np.abs(B - A)) < 1e-12
+
+
+def defining_sum(K, grid):
+    """A[s, k] = 2 dx Σ_i K[i, s−i] exp(i p_k (s − 2i) dx), term by term."""
+    n = grid.n
+    A = np.zeros(grid.phase_shape, dtype=complex)
+    for s in range(2 * n):
+        p = grid.p(s % 2)
+        for i in range(max(0, s - n + 1), min(n, s + 1)):
+            A[s] += K[i, s - i] * np.exp(1j * p * (s - 2 * i) * grid.dx)
+    return 2 * grid.dx * A
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_transform_matches_its_defining_sum(n):
+    grid = GridSpec(n, 0.37)  # not the balanced spacing sqrt(pi/n)
+    K = random_kernel(np.random.default_rng(n), grid)
+    expected = defining_sum(K, grid)
+    A = weyl_wigner(K, grid)
+    scale = np.max(np.abs(expected))
+    for sigma in (0, 1):
+        rows = slice(sigma, None, 2)
+        assert np.max(np.abs(A[rows] - expected[rows])) <= 1e-12 * scale
+    assert np.max(np.abs(weyl_wigner_inv(expected, grid) - K)) <= 1e-12 * np.max(
+        np.abs(K)
+    )
+
+
+def test_transform_plan_is_cached_and_compact():
+    n = 64
+    plan = _plan(GridSpec(n, 0.25))
+    assert _plan(GridSpec(n, 0.25)) is plan
+    assert _plan(GridSpec(n, 0.5)) is not plan
+    tables = [t for t in plan if isinstance(t, np.ndarray)]
+    assert not any(np.iscomplexobj(t) and t.shape == (2 * n, n) for t in tables)
+    assert not any(t.flags.writeable for t in tables)
+    assert sum(t.nbytes for t in tables) <= 12 * n**2 + 64 * n
 
 
 def test_transform_shapes_and_validation():
