@@ -24,6 +24,7 @@ from .checks import SUITE_NAMES, run_all, run_suite
 from .factorize import (
     _DENSE_N_MAX,
     GaussianAlphaSpec,
+    _check_mesh,
     alpha_kernel_from_A,
     autv_residual,
     recover_A,
@@ -401,6 +402,7 @@ def _grid_consistency(spec: GaussianAlphaSpec, n: int, seed: int) -> float:
 def cmd_factorize(args, config: RunConfig, explicit) -> int:
     try:
         spec = GaussianAlphaSpec(args.tau, args.sigma, args.epsilon)
+        _check_mesh(spec.r_function())  # before any quadrature allocates
     except ValueError as exc:
         raise UsageError(str(exc))
     # --grid-n is checked as a grid when the config is built
@@ -433,13 +435,8 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
     recovered_name = None
     ticks, points = _recovery_lattice()
     if admitted or args.override:
-        values = recover_A(
-            R,
-            points,
-            background=spec.background,
-            threshold=threshold,
-            override=args.override,
-        )
+        # the gate above has already decided; recover without repeating it
+        values = recover_A(R, points, background=spec.background, override=True)
         recovered_name = _write_recovered(values, ticks, config)
 
     body = {

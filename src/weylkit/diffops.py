@@ -145,10 +145,6 @@ class DiffOp(_TermMap):
             pairs.append(((zeros, c), (a, zeros), -coeff if sum(c) % 2 else coeff))
         return self._new(_normal_terms(pairs))
 
-    def conjugate_coefficients(self) -> "DiffOp":
-        """Complex-conjugate every coefficient (derivatives untouched)."""
-        return self._new({k: c.conjugate() for k, c in self.terms.items()})
-
     # -- queries ----------------------------------------------------------
 
     def derivative_order(self) -> int:

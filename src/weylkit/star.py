@@ -115,8 +115,13 @@ def star_twisted_oracle(
 
 
 def moyal_bracket(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Bracket −i(A⋆B − B⋆A); real for real A, B up to roundoff."""
-    return -1j * (star(A, B, grid) - star(B, A, grid))
+    """Bracket −i(A⋆B − B⋆A); real for real A, B up to roundoff.
+
+    Formed in kernel space as −i · transform((K_A K_B − K_B K_A) · dx).
+    """
+    KA = weyl_wigner_inv(A, grid)
+    KB = weyl_wigner_inv(B, grid)
+    return -1j * weyl_wigner((KA @ KB - KB @ KA) * grid.dx, grid)
 
 
 def identity_phase(grid: GridSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report files, config handling."""
 
+import importlib
 import json
 import math
 
@@ -125,6 +126,11 @@ def test_missing_config_file(tmp_path, capsys):
         ("factorize", "--tau", "1", "--sigma", "1", "--epsilon", "1", "--grid-n", "64"),
         ("factorize", "--tau", "inf", "--sigma", "1", "--epsilon", "1"),
         ("factorize", "--tau", "1", "--sigma", "inf", "--epsilon", "1"),
+        # quadrature meshes past the cap, rejected before any allocation
+        ("factorize", "--tau", "1e300", "--sigma", "1", "--epsilon", "1"),
+        ("factorize", "--tau", "1e12", "--sigma", "1", "--epsilon", "1"),
+        ("factorize", "--tau", "1", "--sigma", "1e300", "--epsilon", "1"),
+        ("factorize", "--tau", "1", "--sigma", "1e12", "--epsilon", "1"),
     ],
 )
 def test_invalid_flag_values(tmp_path, monkeypatch, capsys, args):
@@ -459,6 +465,45 @@ def test_factorize_grid_consistency_check(tmp_path, capsys):
     assert code == 0
     body = json.loads(out)
     assert body["grid_consistency"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "flags,gates",
+    [
+        (("--epsilon", "1"), 1),
+        (("--epsilon", "1", "--grid-n", "32"), 1),
+        # the refused sign also runs the calibration residual of ε = +1
+        (("--epsilon", "-1"), 2),
+        (("--epsilon", "-1", "--override"), 2),
+    ],
+)
+def test_factorize_computes_each_gate_once(tmp_path, capsys, monkeypatch, flags, gates):
+    cli_module = importlib.import_module("weylkit.cli")
+    factorize_module = importlib.import_module("weylkit.factorize")
+    original = factorize_module.autv_residual
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "autv_residual", counted)
+    monkeypatch.setattr(factorize_module, "autv_residual", counted)
+    run(capsys, "factorize", "--tau", "1.0", "--sigma", "1.0", *flags, "--out", str(tmp_path))
+    assert len(calls) == gates
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_factorize_outputs_are_byte_identical_across_runs(tmp_path, capsys, fmt):
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        out.mkdir()
+        args = ("--tau", "0.8", "--sigma", "1.25", "--epsilon", "-1", "--override")
+        assert run(capsys, "factorize", *args, "--format", fmt, "--out", str(out))[0] == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["factorize-report.json", f"recovered_A.{fmt}"]
+    assert outputs[0] == outputs[1]
 
 
 def test_factorize_usage_errors(capsys):

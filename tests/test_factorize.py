@@ -1,5 +1,6 @@
 """Antisymmetric two-point kernels: consistency gate and symbol recovery."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from weylkit import (
     GaussianAlphaSpec,
     GridSpec,
+    RFunction,
     alpha_kernel_from_A,
     autv_residual,
     kernel_to_R,
@@ -154,3 +156,148 @@ def test_anisotropic_family_recovery():
     expected = np.array([spec.a_function(x, y) for x, y in points])
     assert np.max(np.abs(values - expected)) < 1e-5
     assert abs(expected[0] - 2 * math.pi) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# the grouped quadrature against the per-integral loop it replaced
+# ----------------------------------------------------------------------
+
+factorize_module = importlib.import_module("weylkit.factorize")
+
+
+def _oracle_sine_integral(R, x, y, up, vp, u, v, weight):
+    # one full-mesh evaluation of R per integral
+    return weight * np.sum(np.sin(v * x + u * y) * R.fn(u, v, up, vp))
+
+
+def _oracle_residual(R, probe, step=0.1):
+    u, v, weight = factorize_module._uv_mesh(R, step)
+    worst = 0.0
+    for x, y, up, vp in probe:
+        lhs = _oracle_sine_integral(R, x, y, up, vp, u, v, weight)
+        s, t = (up + x) / 2, (vp + y) / 2
+        plus = _oracle_sine_integral(R, s, t, s, t, u, v, weight)
+        d, e = (up - x) / 2, (vp - y) / 2
+        minus = _oracle_sine_integral(R, d, e, d, e, u, v, weight)
+        worst = max(worst, abs(lhs - (plus - minus)))
+    return worst
+
+
+def _oracle_recovery(R, points, anchor, step=0.1):
+    u, v, weight = factorize_module._uv_mesh(R, step)
+
+    def g(x, y):
+        return 4j * _oracle_sine_integral(R, x, y, x, y, u, v, weight)
+
+    return np.array([g(x, y) - g(*anchor) for x, y in points]).real
+
+
+DEFAULT_PROBE = [
+    (x, y, up, vp)
+    for x in np.linspace(-2.0, 2.0, 5)
+    for y in np.linspace(-2.0, 2.0, 5)
+    for up in np.linspace(-2.0, 2.0, 5)
+    for vp in np.linspace(-2.0, 2.0, 5)
+]
+
+
+@pytest.mark.parametrize("tau", [0.8, 1.25])
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_grouped_residual_matches_per_integral_loop(tau, epsilon):
+    R = GaussianAlphaSpec(tau=tau, sigma=1 / tau, epsilon=epsilon).r_function()
+    assert abs(autv_residual(R) - _oracle_residual(R, DEFAULT_PROBE)) < 1e-12
+
+
+def test_grouped_residual_matches_on_mixed_slices():
+    # repeated (u', v') slices next to distinct ones, and a lhs slice that
+    # coincides with a half-sum slice of another probe
+    probe = [
+        (0.5, -0.5, 1.0, 0.0),
+        (1.5, 0.25, 1.0, 0.0),
+        (-0.7, 0.3, 1.0, 0.0),
+        (1.0, 0.0, 1.0, 0.0),
+        (0.3, 1.1, -0.4, 0.9),
+        (2.0, -1.0, 0.0, 1.0),
+    ]
+    for epsilon in (1, -1):
+        R = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
+        assert abs(autv_residual(R, probe=probe) - _oracle_residual(R, probe)) < 1e-12
+        u, v, weight = factorize_module._uv_mesh(R, 0.1)
+        rows = np.array(probe)
+        grouped = factorize_module._grouped_integrals(R, rows, 0.1)
+        single = [_oracle_sine_integral(R, *row, u, v, weight) for row in rows]
+        assert np.max(np.abs(grouped - single)) < 1e-12
+
+
+def test_sine_integral_keeps_the_scalar_form():
+    R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
+    u, v, weight = factorize_module._uv_mesh(R, 0.1)
+    value = factorize_module._sine_integral(R, 0.4, -0.3, 1.0, 0.5, u, v, weight)
+    assert np.ndim(value) == 0
+    oracle = _oracle_sine_integral(R, 0.4, -0.3, 1.0, 0.5, u, v, weight)
+    assert abs(value - oracle) < 1e-12
+
+
+def test_grouped_recovery_matches_per_integral_loop():
+    ticks = np.linspace(-2.0, 2.0, 17)
+    points = [(x, y) for x in ticks for y in ticks]
+    R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
+    anchor = (
+        factorize_module.TAIL_FACTOR ** 2 / R.v_extent,
+        factorize_module.TAIL_FACTOR ** 2 / R.u_extent,
+    )
+    values = recover_A(R, points, override=True)
+    assert np.max(np.abs(values - _oracle_recovery(R, points, anchor))) < 1e-12
+
+
+def test_default_probe_evaluates_each_slice_once():
+    base = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
+    calls = []
+
+    def counted(u, v, up, vp):
+        calls.append((up, vp))
+        return base.fn(u, v, up, vp)
+
+    R = RFunction(counted, base.u_extent, base.v_extent)
+    assert autv_residual(R) == autv_residual(base)
+    # 25 lhs slices and 81 half-sum slices at most; one per integral
+    # (1875) without the grouping
+    assert len(calls) <= 106
+    assert len(set(calls)) == len(calls)
+
+
+def test_override_skips_the_gate(monkeypatch):
+    calls = []
+    original = factorize_module.autv_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factorize_module, "autv_residual", counted)
+    R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
+    recover_A(R, [(0.0, 0.0)], override=True)
+    assert calls == []
+    recover_A(R, [(0.0, 0.0)])
+    assert calls == [1]
+
+
+def test_quadrature_mesh_is_capped_before_allocation():
+    def never(u, v, up, vp):
+        raise AssertionError("R must not be evaluated past the mesh cap")
+
+    for extents in ((1e150, 1.0), (1.0, 1e150), (5e6, 5.0)):
+        R = RFunction(never, *extents)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            factorize_module._uv_mesh(R, 0.1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            autv_residual(R)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            recover_A(R, [(0.0, 0.0)], override=True)
+    # extents that no mesh can cover are refused when R is built
+    for extents in ((math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RFunction(never, *extents)
+    # the default family sits far below the cap
+    R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
+    assert factorize_module._check_mesh(R) < factorize_module._MESH_POINTS_MAX // 50

@@ -1,5 +1,7 @@
 """Star product of phase functions: algebra, states, independent quadrature."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ def test_moyal_bracket_of_real_phases_is_real_and_antisymmetric():
     scale = np.max(np.abs(bracket))
     assert np.max(np.abs(bracket.imag)) < 1e-12 * scale
     assert np.max(np.abs(bracket + moyal_bracket(B, A, GRID))) < 1e-12 * scale
+
+
+def test_moyal_bracket_is_the_star_commutator(monkeypatch):
+    # the package re-exports the function star, which hides the module
+    star_module = importlib.import_module("weylkit.star")
+    rng = np.random.default_rng(38)
+    A, B = random_phase(rng), random_phase(rng)
+    expected = -1j * (star(A, B, GRID) - star(B, A, GRID))
+    calls = {"weyl_wigner": 0, "weyl_wigner_inv": 0}
+    for name in calls:
+        original = getattr(star_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(star_module, name, counted)
+    bracket = moyal_bracket(A, B, GRID)
+    assert np.max(np.abs(bracket - expected)) < 1e-12 * np.max(np.abs(expected))
+    # one kernel commutator: two inverse transforms and one forward
+    assert calls == {"weyl_wigner": 1, "weyl_wigner_inv": 2}
 
 
 def test_ground_state_is_star_idempotent():
