@@ -43,8 +43,6 @@ from .wigner import (
     weyl_wigner,
     weyl_wigner_inv,
     wigner_of_state,
-    z_inv,
-    z_map,
 )
 from .star import (
     identity_phase,
@@ -123,8 +121,6 @@ __all__ = [
     "inner_k",
     "weyl_wigner",
     "weyl_wigner_inv",
-    "z_map",
-    "z_inv",
     "parity",
     "wigner_of_state",
     # star product

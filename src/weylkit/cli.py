@@ -6,7 +6,9 @@ version, so identical config + seed reproduce byte-identical reports.
 Array outputs are written in the CSV or JSON layouts of
 :mod:`weylkit.wigner`; reports themselves are always JSON.
 
-Exit codes: 0 success, 1 invariant failure or gate refusal, 2 usage error.
+Exit codes: 0 success, 1 invariant failure or gate refusal, 2 usage error
+(including an ``--out`` that is not a directory, or outputs that cannot
+be written).
 """
 
 from __future__ import annotations
@@ -124,7 +126,24 @@ def _build_config(args) -> tuple:
         GridSpec(config.n, config.dx)
     except ValueError as exc:
         raise UsageError(str(exc))
+    _check_out(config.out)
     return config, explicit
+
+
+def _check_out(out: str) -> None:
+    """Refuse an output directory that cannot be made, without making it.
+
+    The path itself, or else its nearest existing ancestor, must be a
+    directory; this runs before any work so a bad ``--out`` costs nothing.
+    """
+    path = Path(out)
+    try:
+        existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    except OSError as exc:  # a name too long, a loop of links, ...
+        raise UsageError(f"cannot use {out!r} as the output directory: {exc}")
+    if existing is not None and not existing.is_dir():
+        where = "is" if existing == path else f"lies below {str(existing)!r}, which is"
+        raise UsageError(f"--out {out!r} {where} not a directory")
 
 
 def _grid(config: RunConfig) -> GridSpec:
@@ -386,17 +405,15 @@ def _grid_consistency(spec: GaussianAlphaSpec, n: int, seed: int) -> float:
     gridded = alpha_kernel_from_A(samples, grid, background=spec.background)
     closed = spec.alpha_kernel()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        q1, p1 = rng.uniform(-1.5, 1.5, size=2)
-        jq, jp = rng.integers(-8, 9, size=2)
-        q2 = q1 + jq * grid.dx / 2
-        p2 = p1 + jp * grid.dp / 2
-        worst = max(
-            worst,
-            float(abs(gridded(q1, p1, q2, p2) - closed(q1, p1, q2, p2))),
-        )
-    return worst
+    # 100 point pairs, each drawn as (q1, p1) then (jq, jp), in that order
+    draws = [
+        (rng.uniform(-1.5, 1.5, size=2), rng.integers(-8, 9, size=2)) for _ in range(100)
+    ]
+    starts, shifts = zip(*draws)
+    (q1, p1), (jq, jp) = np.array(starts).T, np.array(shifts).T
+    q2 = q1 + jq * grid.dx / 2
+    p2 = p1 + jp * grid.dp / 2
+    return float(np.max(np.abs(gridded(q1, p1, q2, p2) - closed(q1, p1, q2, p2))))
 
 
 def cmd_factorize(args, config: RunConfig, explicit) -> int:
@@ -606,4 +623,7 @@ def main(argv=None) -> int:
         return args.func(args, config, explicit)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reads are UsageErrors already: this is an output write
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ from .lift import (
 )
 from .rational import CRat, I
 from .symbols import NCPoly, PolySymbol, moyal_symbolic, weyl_quantize
-from .wigner import parity, weyl_wigner, weyl_wigner_inv, z_inv, z_map
+from .wigner import parity, weyl_wigner, weyl_wigner_inv
 
 __all__ = [
     "HWElement",
@@ -443,7 +443,7 @@ def _galilei_momentum_residual(m: float, grid: GridSpec) -> float:
     w, q0, r0 = 1.0, 0.25, 0.5
     psi = (w / np.pi) ** 0.25 * np.exp(-w * (x - q0) ** 2 / 2) * np.exp(1j * r0 * x)
     K0 = np.outer(psi, np.conj(psi))
-    K_impl = z_inv(galilei_action(g, z_map(K0, grid), grid), grid)
+    K_impl = weyl_wigner_inv(galilei_action(g, weyl_wigner(K0, grid), grid), grid)
 
     omega = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
     b = g.m * g.a2
@@ -668,9 +668,10 @@ def time_reversal_check(grid: GridSpec | None = None, count: int = 20, rng=None)
 
     * Π(g)² = identity, exactly (the action is an index permutation);
     * for Hermitian kernels f (real phase functions), the factorised
-      action is plain conjugation: z_inv(parity(z_map(f))) = conj(f);
+      action is plain conjugation:
+      weyl_wigner_inv(parity(weyl_wigner(f))) = conj(f);
     * for arbitrary complex kernels, the antiunitary composite
-      z_inv(parity(conj(z_map(f)))) = conj(f);
+      weyl_wigner_inv(parity(conj(weyl_wigner(f)))) = conj(f);
     * real symmetric kernels are fixed points.
 
     Returns the JSON verification report.
@@ -689,24 +690,26 @@ def time_reversal_check(grid: GridSpec | None = None, count: int = 20, rng=None)
     for _ in range(count):
         raw = random_complex()
         herm = (raw + raw.conj().T) / 2
-        F = z_map(herm, grid)
+        F = weyl_wigner(herm, grid)
         involution = max(involution, float(np.max(np.abs(parity(parity(F, grid), grid) - F))))
-        back = z_inv(parity(F, grid), grid)
+        back = weyl_wigner_inv(parity(F, grid), grid)
         hermitian_law = max(hermitian_law, float(np.max(np.abs(back - herm.conj()))))
 
         arbitrary = random_complex()
-        composite = z_inv(parity(np.conj(z_map(arbitrary, grid)), grid), grid)
+        composite = weyl_wigner_inv(parity(np.conj(weyl_wigner(arbitrary, grid)), grid), grid)
         composite_law = max(
             composite_law, float(np.max(np.abs(composite - arbitrary.conj())))
         )
 
         sym = rng.standard_normal((n, n))
         sym = (sym + sym.T) / 2
-        fixed = z_inv(parity(z_map(sym, grid), grid), grid)
+        fixed = weyl_wigner_inv(parity(weyl_wigner(sym, grid), grid), grid)
         fixed_point = max(fixed_point, float(np.max(np.abs(fixed - sym))))
 
     return {
         "example": "time_reversal",
+        # report text: z_map/z_inv name weyl_wigner and its inverse as
+        # the intertwiner Z and Z^-1
         "relations_checked": [
             "Pi(g)^2 = identity (exact index permutation)",
             "hermitian kernels: z_inv(parity(z_map(f))) = conj(f)",

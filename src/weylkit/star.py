@@ -17,6 +17,28 @@ steps of dx/2 and momenta in steps of dp/2, which is exactly the phase
 sampling), so the two routes agree to Riemann accuracy without any
 interpolation.
 
+Kernel products and subnormals.  Every kernel composition here (``star``,
+the two products of ``moyal_bracket``, ``purity_residual`` and
+``star_unitary_residual``) runs through one helper, ``_compose``.  The
+kernels of Gaussian states span hundreds of binary orders, so in K_A K_B
+many products of tail entries fall below 2^−1022, and BLAS computes them
+with subnormal arithmetic, several times slower than normal arithmetic on
+x86 cores.  The helper reads the binary exponent of each factor's largest
+|Re| or |Im| (one max and one min over the real view), multiplies the
+factors in place by powers of two so that the largest possible partial
+sum, 2n · max|A| · max|B|, sits just under 2^1000, multiplies, and undoes
+the scale by powers of two: folded into the ``· dx`` when 2^−shift · dx is
+a normal float, otherwise in its own pass before the ``· dx``, which is
+the order of the plain product.  Multiplying by a power of the radix is
+exact in floating point, so in the normal range every intermediate is
+exactly 2^shift times its unscaled counterpart and the result is bit for
+bit the plain ``K_A K_B · dx``.  Only entries the plain product computed
+through underflow (|entry| below about 2^−1000) differ, by at most
+n · 2^−1074, and there the scaled result is the more accurate one.
+Factors are only ever scaled up, so no entry of a factor is rounded.  A
+product that might overflow (2n · max|A| · max|B| ≥ 2^1000), and a zero
+or non-finite factor, go to the plain product unchanged.
+
 The discrete star identity is the transform of the identity kernel I/dx:
 2 on even rows and 0 on odd rows.  The odd-row zeros are a structural
 artifact of the half-offset momentum sampling, not an error; unitarity
@@ -26,6 +48,7 @@ residuals are measured against this exact array.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -43,11 +66,68 @@ __all__ = [
 ]
 
 
+_SUM_EXP = 1000  # scaled partial sums stay below 2**_SUM_EXP (overflow is 2**1024)
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
+_TINY = sys.float_info.min  # 2**-1022, the smallest normal float
+
+
+def _top_exponent(K: np.ndarray):
+    """e with max(|Re K|, |Im K|) in [2^(e−1), 2^e); None if K is zero or not finite."""
+    v = K.view(np.float64)
+    top = max(_MAX(v, axis=None), -_MIN(v, axis=None))  # both NaN if any entry is
+    return math.frexp(top)[1] if 0.0 < top < math.inf else None
+
+
+def _scale(K: np.ndarray, t: int) -> None:
+    """K ← 2^t · K in place; exact while the entries stay normal."""
+    v = K.view(np.float64)  # a real multiply, so signed zeros are kept
+    while abs(t) > 1000:  # keep each factor 2.0**step a normal float
+        step = 1000 if t > 0 else -1000
+        v *= 2.0 ** step
+        t -= step
+    v *= 2.0 ** t
+
+
+def _compose(factors: tuple, form, dx: float) -> np.ndarray:
+    """form(*factors) · dx, computed on power-of-two scaled factors.
+
+    ``factors`` holds one or two fresh C-contiguous complex kernels; they
+    are scaled in place.  ``form`` is a sum of matrix products each taking
+    one copy of every factor, or two copies of a lone factor (K @ K,
+    K @ K.conj().T).  See the module docstring for why the result equals
+    the plain ``form(*factors) * dx`` bit for bit in the normal range.
+    """
+    exps = [_top_exponent(K) for K in factors]
+    if None in exps:
+        return form(*factors) * dx  # a zero or non-finite factor
+    # a partial sum is at most 2n · 2^e_A · 2^e_B, and 2n ≤ 2^bit_length(2n − 1)
+    headroom = _SUM_EXP - (2 * factors[0].shape[1] - 1).bit_length()
+    room = headroom - exps[0] - exps[-1]
+    if room < 2:
+        return form(*factors) * dx  # nothing to lift, or a product that may overflow
+    if len(factors) == 1:
+        total = room // 2 * 2
+        _scale(factors[0], total // 2)
+    else:  # balance the scaled maxima, scaling up only
+        first = min(max(headroom // 2 - exps[0], 0), room)
+        _scale(factors[0], first)
+        _scale(factors[1], room - first)
+        total = room
+    product = form(*factors)
+    folded = math.ldexp(dx, -total)
+    if folded >= _TINY:  # 2^−total · dx is exact: undo the scale with the · dx
+        product *= folded
+    else:
+        _scale(product, -total)
+        product *= dx
+    return product
+
+
 def star(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Star product via kernel composition (exactly associative)."""
     KA = weyl_wigner_inv(A, grid)
     KB = weyl_wigner_inv(B, grid)
-    return weyl_wigner(KA @ KB * grid.dx, grid)
+    return weyl_wigner(_compose((KA, KB), np.matmul, grid.dx), grid)
 
 
 def _fourier_lattice(B: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -121,7 +201,8 @@ def moyal_bracket(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     KA = weyl_wigner_inv(A, grid)
     KB = weyl_wigner_inv(B, grid)
-    return -1j * weyl_wigner((KA @ KB - KB @ KA) * grid.dx, grid)
+    bracket = _compose((KA, KB), lambda a, b: a @ b - b @ a, grid.dx)
+    return -1j * weyl_wigner(bracket, grid)
 
 
 def identity_phase(grid: GridSpec) -> np.ndarray:
@@ -149,8 +230,9 @@ def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
     """
     W = np.asarray(W, dtype=complex)
     K = weyl_wigner_inv(W, grid)
-    square = weyl_wigner(K @ K * grid.dx, grid)  # W ⋆ W from one kernel
-    r1 = float(np.max(np.abs(square - W / (2 * math.pi))))
+    square = weyl_wigner(_compose((K,), lambda k: k @ k, grid.dx), grid)  # W ⋆ W
+    square -= W / (2 * math.pi)
+    r1 = float(np.max(np.abs(square)))
     cell = grid.cell
     r2 = float(
         abs(2 * math.pi * np.sum(W ** 2) * cell - 1) + abs(np.sum(W) * cell - 1)
@@ -165,5 +247,6 @@ def star_unitary_residual(U: np.ndarray, grid: GridSpec) -> float:
     product is formed in kernel space as K_U K_U† dx.
     """
     K = weyl_wigner_inv(U, grid)
-    product = weyl_wigner(K @ K.conj().T * grid.dx, grid)
-    return float(np.max(np.abs(product - identity_phase(grid))))
+    product = weyl_wigner(_compose((K,), lambda k: k @ k.conj().T, grid.dx), grid)
+    product[0::2] -= 2.0  # minus identity_phase(grid), in place
+    return float(np.max(np.abs(product)))

@@ -467,28 +467,13 @@ def weyl_symbol(x: NCPoly) -> PolySymbol:
     return PolySymbol(_symmetric_shift(x.terms, I / 2))
 
 
-def _quantize_monomial_sumform(m: int, n: int) -> NCPoly:
-    """First closed form: Σ_k (−i/2)^k k! C(m,k) C(n,k) q̂^{m−k} p̂^{n−k}."""
-    return _from_canonical(_symmetric_shift({(m, n): ONE}, -I / 2))
-
-
-def _quantize_monomial_symform(m: int, n: int) -> NCPoly:
-    """Second closed form: 2^{−m} Σ_r C(m,r) q̂^{m−r} p̂^n q̂^r (test oracle)."""
-    terms = []
-    half_m = CRat(Fraction(1, 2 ** m))
-    for r in range(m + 1):
-        c = half_m * CRat(math.comb(m, r))
-        terms.append((c, "q" * (m - r) + "p" * n + "q" * r))
-    return NCPoly(terms)
-
-
 def weyl_quantize(A: PolySymbol) -> NCPoly:
     """Operator polynomial with symbol A (inverse of :func:`weyl_symbol`).
 
-    Each monomial maps by the first closed form, q^m p^n -> Σ_k (−i/2)^k
+    Each monomial maps by the closed form q^m p^n -> Σ_k (−i/2)^k
     k! C(m,k) C(n,k) q̂^{m−k} p̂^{n−k}, so the result is normal ordered.
-    Agreement with the second form, :func:`_quantize_monomial_symform`, is a
-    test invariant and is not checked here.
+    Agreement with the symmetrised form 2^{−m} Σ_r C(m,r) q̂^{m−r} p̂^n q̂^r
+    is a test invariant (acceptance criterion 05) and is not checked here.
     """
     return _from_canonical(_symmetric_shift(A.terms, -I / 2))
 

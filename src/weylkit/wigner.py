@@ -32,9 +32,6 @@ Structural facts used throughout (and enforced by tests):
   <transform(K1), transform(K2)>_phase = dx² Σ conj(K1) K2;
 * Hermitian kernels have real phase functions, and kernel transposition
   is momentum reflection (the parity map).
-
-``z_map``/``z_inv`` name the same bijection in its role as the unitary
-intertwiner between the two-point and phase-space pictures.
 """
 
 from __future__ import annotations
@@ -51,8 +48,6 @@ from .grids import GridSpec
 __all__ = [
     "weyl_wigner",
     "weyl_wigner_inv",
-    "z_map",
-    "z_inv",
     "parity",
     "wigner_of_state",
     "write_phase_csv",
@@ -87,9 +82,10 @@ class _Plan(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _plan(grid: GridSpec) -> _Plan:
     n = grid.n
-    index = np.int32 if 2 * n * n <= 2**31 else np.intp
-    i = np.arange(n, dtype=index)[:, None]
-    j = np.arange(n, dtype=index)[None, :]
+    # intp, numpy's own index type: an int32 index would be cast afresh on
+    # every gather and scatter, which doubles their time
+    i = np.arange(n, dtype=np.intp)[:, None]
+    j = np.arange(n, dtype=np.intp)[None, :]
     s = i + j
     scatter = s * n + (i - j - s % 2) // 2 % n
     m = np.arange(n)
@@ -137,16 +133,6 @@ def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
     rows = np.fft.ifft(A.reshape(n, 2, n) * (1 / plan.phase), axis=2)
     rows *= plan.weight.conj()
     return rows.ravel()[plan.scatter]
-
-
-def z_map(K: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Two-point to phase-space intertwiner (same map as weyl_wigner)."""
-    return weyl_wigner(K, grid)
-
-
-def z_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Phase-space to two-point intertwiner (same map as weyl_wigner_inv)."""
-    return weyl_wigner_inv(A, grid)
 
 
 def parity(A: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, report files, config handling."""
 
+import errno
 import importlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from weylkit.cli import canonical_json, main
+from weylkit import GaussianAlphaSpec, GridSpec, alpha_kernel_from_A
+from weylkit.cli import _grid_consistency, canonical_json, main
 
 
 def run(capsys, *args):
@@ -342,6 +345,33 @@ def test_wigner_non_finite_state_file(tmp_path, capsys, name, content):
     assert not out_dir.exists()
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran before --out was validated")
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, below):
+    monkeypatch.setattr("weylkit.cli.hermite_basis", _no_work)
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep me\n")
+    out = taken / "sub" if below else taken
+    code, stdout, err = run(capsys, "star-demo", "--out", str(out))
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert not stdout
+    assert taken.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_output_write_failure_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def disk_full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    code, stdout, err = run(capsys, "star-demo", "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error: cannot write outputs:")
+    assert "No space left on device" in err and not stdout
+
+
 def test_wigner_out_of_range_spacing_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "out"
     with pytest.warns(UserWarning):  # the basis outgrows the tiny grid
@@ -465,6 +495,32 @@ def test_factorize_grid_consistency_check(tmp_path, capsys):
     assert code == 0
     body = json.loads(out)
     assert body["grid_consistency"] < 1e-10
+
+
+def _grid_consistency_loop(spec, n, seed):
+    """The per-point loop that cli._grid_consistency replaced (oracle)."""
+    grid = GridSpec(n, float(np.sqrt(np.pi / n)))
+    samples = spec.a_function(grid.q_matrix(), grid.p_matrix())
+    gridded = alpha_kernel_from_A(samples, grid, background=spec.background)
+    closed = spec.alpha_kernel()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        q1, p1 = rng.uniform(-1.5, 1.5, size=2)
+        jq, jp = rng.integers(-8, 9, size=2)
+        q2 = q1 + jq * grid.dx / 2
+        p2 = p1 + jp * grid.dp / 2
+        worst = max(worst, float(abs(gridded(q1, p1, q2, p2) - closed(q1, p1, q2, p2))))
+    return worst
+
+
+@pytest.mark.parametrize("n,seed", [(16, 0), (32, 0), (32, 7)])
+def test_grid_consistency_matches_the_per_point_loop(n, seed):
+    spec = GaussianAlphaSpec(1.0, 1.0, 1)
+    expected = _grid_consistency_loop(spec, n, seed)
+    got = _grid_consistency(spec, n, seed)
+    assert got > 0
+    assert abs(got - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from weylkit import (
     star_twisted_oracle,
     star_unitary_residual,
     weyl_wigner,
+    weyl_wigner_inv,
     wigner_of_state,
 )
 
@@ -176,3 +177,164 @@ def test_twisted_quadrature_full_array_and_validation():
 def test_star_shape_validation():
     with pytest.raises(ValueError):
         star(np.zeros((4, 4)), np.zeros(GRID.phase_shape), GRID)
+
+
+# ----------------------------------------------------------------------
+# power-of-two scaled kernel products (star._compose)
+# ----------------------------------------------------------------------
+
+_TINY = np.finfo(float).tiny  # 2**-1022
+_SUBNORMAL_STEP = 2.0**-1074
+
+FORMS = {
+    "product": (2, lambda a, b: a @ b),
+    "commutator": (2, lambda a, b: a @ b - b @ a),
+    "square": (1, lambda k: k @ k),
+    "times_adjoint": (1, lambda k: k @ k.conj().T),
+}
+
+
+def _compose(factors, form, dx):
+    return importlib.import_module("weylkit.star")._compose(factors, form, dx)
+
+
+def random_kernel(rng, n, scale=1.0):
+    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def has_subnormals(K):
+    v = np.abs(K.view(float))
+    return bool(np.any((v > 0) & (v < _TINY)))
+
+
+@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("name", sorted(FORMS))
+@pytest.mark.parametrize("dx", [1.0, 0.3, 3e-12, 1e-300])
+def test_compose_is_bit_identical_to_the_plain_product(n, name, dx):
+    # with dx = 3e-12 or 1e-300, 2^-shift * dx is not a normal float, so
+    # the scale is undone in its own pass before the * dx
+    count, form = FORMS[name]
+    rng = np.random.default_rng(n)
+    factors = [random_kernel(rng, n) for _ in range(count)]
+    for K in factors:  # signed zeros, which a complex-valued scaling could flip
+        v = K.view(float)
+        v[rng.random(v.shape) < 0.3] = 0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+    expected = form(*factors) * dx
+    got = _compose(tuple(K.copy() for K in factors), form, dx)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
+
+
+def test_compose_lifts_a_kernel_spanning_the_float_range():
+    # 1 ... 1e-170 along each axis: K @ K reaches far below 2^-1022
+    n = 64
+    u = np.geomspace(1.0, 1e-170, n)
+    K = np.outer(u, u).astype(complex)
+    assert has_subnormals(K @ K)
+    plain = K @ K
+    lifted = K.copy()
+    got = _compose((lifted,), lambda k: k @ k, 1.0)
+    # the operand BLAS saw had no subnormal entry
+    assert not has_subnormals(lifted)
+    normal = np.abs(plain) >= 2.0**-1000
+    assert normal.any() and (~normal).any()
+    assert np.array_equal(got[normal], plain[normal])
+    assert np.max(np.abs(got - plain)[~normal]) <= n * _SUBNORMAL_STEP
+    # two factors: the same entries, with the lift split between them
+    A, B = K.copy(), K.copy()
+    got2 = _compose((A, B), lambda a, b: a @ b, 1.0)
+    assert not has_subnormals(A) and not has_subnormals(B)
+    assert np.array_equal(got2[normal], plain[normal])
+    assert np.max(np.abs(got2 - plain)[~normal]) <= n * _SUBNORMAL_STEP
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+def test_compose_passes_zero_and_non_finite_factors_on(bad):
+    rng = np.random.default_rng(3)
+    A = random_kernel(rng, 8)
+    B = np.zeros((8, 8), complex) if bad == 0.0 else random_kernel(rng, 8)
+    B[2, 5] = bad
+    A0, B0 = A.copy(), B.copy()
+    with np.errstate(invalid="ignore"):  # inf * 0 inside the product
+        expected = (A @ B) * 0.3
+        got = _compose((A, B), lambda a, b: a @ b, 0.3)
+    assert np.array_equal(got, expected, equal_nan=True)
+    # the plain product ran on the factors as given
+    assert np.array_equal(A, A0) and np.array_equal(B, B0, equal_nan=True)
+    if bad == 0.0:
+        assert not got.any()
+    else:
+        assert not np.isfinite(got).all()
+
+
+def test_compose_never_scales_a_factor_down():
+    # A's row 0 lies near 2^-950 and its other rows near 2^600: scaling A
+    # down to balance the factors would round row 0 into subnormals, while
+    # the plain product of row 0 with an O(1) factor is normal
+    rng = np.random.default_rng(8)
+    A = random_kernel(rng, 8, 2.0**600)
+    A[0] = random_kernel(rng, 8, 2.0**-950)[0]
+    B = random_kernel(rng, 8)
+    expected = (A @ B) * 0.5
+    assert np.all(np.abs(expected[0]) > _TINY)
+    assert np.array_equal(_compose((A.copy(), B.copy()), lambda a, b: a @ b, 0.5), expected)
+
+
+@pytest.mark.parametrize("scales", [(1e300, 1e-300), (1e-200, 1e150)])
+def test_compose_keeps_finite_products_of_extreme_factors(scales):
+    # (1e-200, 1e150): A is lifted by more than 2^1000, in steps, and the
+    # scale is undone in steps before the * dx
+    rng = np.random.default_rng(4)
+    A, B = (random_kernel(rng, 8, scale) for scale in scales)
+    expected = (A @ B) * 0.5
+    assert np.isfinite(expected).all() and np.all(np.abs(expected) > _TINY)
+    got = _compose((A.copy(), B.copy()), lambda a, b: a @ b, 0.5)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dx", [1.0, 1e-300])
+def test_compose_keeps_overflow(dx):
+    # with dx = 1e-300 the exact product times dx is finite, but the
+    # unscaled product overflows first, as it does without the scaling
+    rng = np.random.default_rng(5)
+    A = random_kernel(rng, 8, 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (A @ A) * dx
+        got = _compose((A.copy(),), lambda k: k @ k, dx)
+    assert not np.isfinite(expected).all()
+    assert not np.isfinite(got).all()
+    assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+
+
+def test_residuals_equal_the_unscaled_formulas():
+    # n = 512 Hermite state: its kernel tails reach below 2^-511, so the
+    # unscaled K @ K runs through underflow; the residual does not move
+    grid = GridSpec(512, float(np.sqrt(np.pi / 512)))
+    W = wigner_of_state(hermite_basis(grid, 3)[2], grid)
+    K = weyl_wigner_inv(W, grid)
+    tail = np.abs(K.view(float))
+    assert np.any((tail > 0) & (tail < 2.0**-511))  # products of two underflow
+    square = weyl_wigner(K @ K * grid.dx, grid)
+    r1 = float(np.max(np.abs(square - W / (2 * np.pi))))
+    cell = grid.cell
+    r2 = float(abs(2 * np.pi * np.sum(W**2) * cell - 1) + abs(np.sum(W) * cell - 1))
+    assert purity_residual(W, grid) == (r1, r2)
+
+    rng = np.random.default_rng(6)
+    H = random_kernel(rng, GRID.n)
+    evals, evecs = np.linalg.eigh((H + H.conj().T) / 2)
+    U = weyl_wigner((evecs * np.exp(1j * evals)) @ evecs.conj().T / GRID.dx, GRID)
+    KU = weyl_wigner_inv(U, GRID)
+    product = weyl_wigner(KU @ KU.conj().T * GRID.dx, GRID)
+    expected = float(np.max(np.abs(product - identity_phase(GRID))))
+    assert star_unitary_residual(U, GRID) == expected
+
+
+def test_star_and_bracket_equal_the_unscaled_formulas():
+    rng = np.random.default_rng(7)
+    A, B = random_phase(rng), random_phase(rng)
+    KA, KB = weyl_wigner_inv(A, GRID), weyl_wigner_inv(B, GRID)
+    assert np.array_equal(star(A, B, GRID), weyl_wigner(KA @ KB * GRID.dx, GRID))
+    bracket = -1j * weyl_wigner((KA @ KB - KB @ KA) * GRID.dx, GRID)
+    assert np.array_equal(moyal_bracket(A, B, GRID), bracket)

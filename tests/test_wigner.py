@@ -15,8 +15,6 @@ from weylkit import (
     weyl_wigner,
     weyl_wigner_inv,
     wigner_of_state,
-    z_inv,
-    z_map,
 )
 from weylkit.wigner import (
     _plan,
@@ -138,14 +136,6 @@ def test_identity_kernel_maps_to_flat_even_rows():
     A = weyl_wigner(np.eye(GRID.n) / GRID.dx, GRID)
     assert np.allclose(A[0::2], 2.0, atol=1e-12)
     assert np.allclose(A[1::2], 0.0, atol=1e-12)
-
-
-def test_intertwiner_aliases():
-    rng = np.random.default_rng(15)
-    K = random_kernel(rng)
-    assert np.array_equal(z_map(K, GRID), weyl_wigner(K, GRID))
-    A = weyl_wigner(K, GRID)
-    assert np.array_equal(z_inv(A, GRID), weyl_wigner_inv(A, GRID))
 
 
 # ----------------------------------------------------------------------
