@@ -249,13 +249,17 @@ def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
     phi10 = weyl_wigner(np.outer(basis[1], basis[0].conj()), grid)
     kernel_route = star(phi01, phi10, grid)
     n = grid.n
+    # wrapped onto the grid, which changes them only for n = 4
     points = [
-        (n, n // 2),
-        (n + 2, n // 2 - 1),
-        (n - 3, n // 2 + 2),
-        (n + 5, n // 2 + 1),
-        (2 * n - 4, n // 2),
-        (3, n // 2 - 2),
+        (r % (2 * n), c % n)
+        for r, c in (
+            (n, n // 2),
+            (n + 2, n // 2 - 1),
+            (n - 3, n // 2 + 2),
+            (n + 5, n // 2 + 1),
+            (2 * n - 4, n // 2),
+            (3, n // 2 - 2),
+        )
     ]
     quad = star_twisted_oracle(phi01, phi10, grid, points=points)
     routes = float(

@@ -120,8 +120,8 @@ def _build_config(args) -> tuple:
         raise UsageError("r_max must be a positive integer")
     if config.seed < 0:
         raise UsageError("seed must be non-negative")
-    if config.tol is not None and not config.tol > 0:
-        raise UsageError("tol must be positive")
+    if config.tol is not None and not 0 < config.tol < float("inf"):
+        raise UsageError("tol must be positive and finite")
     try:
         GridSpec(config.n, config.dx)
     except ValueError as exc:
@@ -187,8 +187,21 @@ def _out_dir(config: RunConfig) -> Path:
     return path
 
 
+def _require_finite(what: str, grid: GridSpec, *values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise UsageError(
+            f"{what} on this grid (n = {grid.n}, dx = {grid.dx!r}) gives "
+            "non-finite values; choose a grid spacing within float range"
+        )
+
+
 def _emit_report(name: str, report: dict, config: RunConfig) -> None:
-    text = canonical_json(report)
+    try:
+        text = canonical_json(report)
+    except ValueError:  # allow_nan=False: a NaN or inf reached the report
+        raise UsageError(
+            "the run gives non-finite values; choose a grid spacing within float range"
+        ) from None
     (_out_dir(config) / name).write_text(text + "\n")
     print(text)
 
@@ -317,11 +330,7 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         W = wigner_of_state(psi, grid)
         r1, r2 = purity_residual(W, grid)
-    if not (np.isfinite(W).all() and np.isfinite([norm, r1, r2]).all()):
-        raise UsageError(
-            f"the state on this grid (n = {grid.n}, dx = {grid.dx!r}) gives "
-            "non-finite values; choose a grid spacing within float range"
-        )
+    _require_finite("the state", grid, W, [norm, r1, r2])
     name = _write_phase_array("wigner", W, grid, config)
     report = _envelope(
         "wigner",
@@ -433,6 +442,11 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
             raise UsageError(
                 f"--grid-n is limited to {_DENSE_N_MAX} (the kernel tabulation is dense)"
             )
+        if args.grid_n < 6:
+            raise UsageError(
+                "--grid-n must be at least 6: the consistency probes shift by up "
+                "to 8 half-steps, past the lattice of a smaller grid"
+            )
     threshold = config.tol if config.tol is not None else 1e-4
     R = spec.r_function()
     residual = autv_residual(R)
@@ -500,13 +514,15 @@ def cmd_star_demo(args, config: RunConfig, explicit) -> int:
     r1, r2 = purity_residual(w0, grid)
     s1, s2 = purity_residual(w1, grid)
     cross = float(np.max(np.abs(star(w0, w1, grid))))
-    units = float(np.max(np.abs(star(phi01, phi10, grid) - phi00)))
+    product = star(phi01, phi10, grid)
+    units = float(np.max(np.abs(product - phi00)))
     nilpotent = float(np.max(np.abs(star(phi01, phi01, grid))))
+    _require_finite("the demonstration", grid, product, [r1, r2, s1, s2, cross, nilpotent])
 
     tol = config.tol if config.tol is not None else 1e-8
     passed = max(r1, r2, s1, s2, cross, units, nilpotent) <= tol
 
-    name = _write_phase_array("star-demo-product", star(phi01, phi10, grid), grid, config)
+    name = _write_phase_array("star-demo-product", product, grid, config)
     report = _envelope(
         "star-demo",
         config,
@@ -626,4 +642,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # reads are UsageErrors already: this is an output write
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # an overflow or a division by an underflowed zero
+        print(
+            f"error: the run left float range ({exc}); choose a grid spacing within "
+            "float range",
+            file=sys.stderr,
+        )
         return 2

@@ -1,132 +1,118 @@
-"""Exact complex-rational scalars.
+"""Exact complex-rational scalars for the symbolic layer, which never floats.
 
-Every identity in the symbolic layer of this package is an exact algebraic
-statement, so its coefficients must never touch floating point.  The stdlib
-gives us exact rationals (``fractions.Fraction``) but no complex form of
-them; :class:`CRat` is that missing scalar: a complex number whose real and
-imaginary parts are both ``Fraction``.
-
-Floats are accepted as inputs and converted exactly (every float is a dyadic
-rational), so e.g. ``CRat(0.5)`` is exactly one half.
+:class:`CRat` stores three ints (a, b, d) meaning (a + b·i)/d, integer
+numerators over one shared denominator as in FLINT's ``fmpq_poly``, kept
+canonical: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values
+have equal triples.  A product is a few int products and one three-way
+``math.gcd``.  ``.re`` and ``.im`` are read-only ``Fraction`` properties and
+the slots are private, so a CRat is immutable as a ``Fraction`` is.  Floats
+are converted exactly, on input and in ``==`` (``CRat(0.5) == 0.5``), but
+arithmetic with a float is a ``TypeError``.  Hashes agree with
+``hash(Fraction)`` for real values and ``hash(complex)`` for complex ones.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 __all__ = ["CRat", "ZERO", "ONE", "I"]
 
-_RAT_TYPES = (int, Fraction)
 
-
-def _as_fraction(value) -> Fraction:
+def _triple(value):
+    """(a, b, d) of a CRat, int or Fraction operand; None for other types."""
+    if type(value) is CRat:
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return value, 0, 1
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, float, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
+        return value.numerator, 0, value.denominator
+    return None
 
 
 class CRat:
-    """A complex number with exact rational real and imaginary parts.
+    """A complex number with exact rational parts; mixes with int and Fraction."""
 
-    Immutable and hashable; supports mixed arithmetic with int and Fraction.
-    """
-
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        for v in (re, im):
+            if not isinstance(v, (int, float, str, Fraction)):
+                raise TypeError(f"cannot build an exact rational from {type(v).__name__}")
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @classmethod
     def coerce(cls, value) -> "CRat":
         """Coerce int/float/Fraction/CRat/complex into a CRat, exactly."""
-        if isinstance(value, CRat):
-            return value
         if isinstance(value, complex):
-            # complex floats are dyadic rationals; conversion is exact
-            return cls(Fraction(value.real), Fraction(value.imag))
-        return cls(_as_fraction(value))
+            return cls(value.real, value.imag)
+        return value if isinstance(value, CRat) else cls(value)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("CRat is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
-    # ------------------------------------------------------------------
-    # predicates
-    # ------------------------------------------------------------------
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def is_imaginary(self) -> bool:
-        return self.re == 0
+        return not self._a
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-
     def __add__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = CRat(other)
-        if not isinstance(other, CRat):
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return CRat(self.re + other.re, self.im + other.im)
+        c, e, f = t
+        d = self._d
+        if d == f:
+            return _canon(self._a + c, self._b + e, d)
+        return _canon(self._a * f + c * d, self._b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = CRat(other)
-        if not isinstance(other, CRat):
-            return NotImplemented
-        return CRat(self.re - other.re, self.im - other.im)
+        t = _triple(other)
+        return NotImplemented if t is None else self + _make(-t[0], -t[1], t[2])
 
     def __rsub__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            return CRat(other).__sub__(self)
-        return NotImplemented
+        return NotImplemented if _triple(other) is None else -self + other
 
     def __mul__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = CRat(other)
-        if not isinstance(other, CRat):
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return CRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        c, e, f = t
+        a, b = self._a, self._b
+        return _canon(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = CRat(other)
-        if not isinstance(other, CRat):
-            return NotImplemented
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero CRat")
-        return CRat(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        t = _triple(other)
+        return NotImplemented if t is None else _divide(self._a, self._b, self._d, *t)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            return CRat(other).__truediv__(self)
-        return NotImplemented
+        t = _triple(other)
+        return NotImplemented if t is None else _divide(*t, self._a, self._b, self._d)
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -135,70 +121,84 @@ class CRat:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (ONE / self) ** (-exponent)
-        result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return (ONE / self) ** -exponent
+        a, b, d, x, y, z = 1, 0, 1, self._a, self._b, self._d
+        while exponent:
+            if exponent & 1:
+                a, b, d = a * x - b * y, a * y + b * x, d * z
+            x, y, z = x * x - y * y, 2 * x * y, z * z
+            exponent >>= 1
+        return _canon(a, b, d)
+
+    def turn(self, k: int) -> "CRat":
+        """self · i^k, a unit rotation of the numerators."""
+        a, b = self._a, self._b
+        return _make(*((a, b), (-b, a), (-a, -b), (b, -a))[k % 4], self._d)
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
-
-    # ------------------------------------------------------------------
-    # comparisons / hashing / conversion
-    # ------------------------------------------------------------------
+        return _make(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = CRat(other)
-        if isinstance(other, complex):
-            other = CRat.coerce(other)
-        if not isinstance(other, CRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, (float, complex)):
+            other = complex(other)
+            if not (math.isfinite(other.real) and math.isfinite(other.imag)):
+                return False
+            other = CRat(other.real, other.imag)
+        t = _triple(other)
+        return NotImplemented if t is None else (self._a, self._b, self._d) == t
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
-        return hash((self.re, self.im))
+        bits = sys.hash_info.width  # complex hashes wrap to a signed machine word
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << bits)
+        h -= (h >> (bits - 1)) << bits
+        return -2 if h == -1 else h
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    # ------------------------------------------------------------------
-    # printing
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _fmt_rational(r: Fraction) -> str:
-        return str(r)  # "3", "-1/2", ...
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return self._fmt_rational(self.re)
-        if self.re == 0:
-            return self._fmt_imag(self.im)
-        return f"({self._fmt_rational(self.re)} {'+' if self.im > 0 else '-'} "\
-               f"{self._fmt_imag(abs(self.im)).lstrip('+')})"
-
-    @staticmethod
-    def _fmt_imag(r: Fraction) -> str:
-        if r == 1:
-            return "i"
-        if r == -1:
-            return "-i"
-        if r.denominator == 1:
-            return f"{r.numerator}i"
-        sign = "-" if r < 0 else ""
-        return f"{sign}({abs(r)})i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return _fmt_imag(im)
+        return f"({re} {'+' if im > 0 else '-'} {_fmt_imag(abs(im))})"
 
     def __repr__(self) -> str:
         return f"CRat({self.re!r}, {self.im!r})"
+
+
+def _make(a: int, b: int, d: int) -> CRat:
+    """CRat from a triple that is already canonical."""
+    out = object.__new__(CRat)
+    out._a, out._b, out._d = a, b, d
+    return out
+
+
+def _canon(a: int, b: int, d: int) -> CRat:
+    """CRat from a triple with d > 0, divided by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
+def _divide(a, b, d, c, e, f) -> CRat:
+    """(a + bi)/d ÷ (c + ei)/f = (a + bi)(c − ei) f / (d (c² + e²))."""
+    norm = c * c + e * e
+    if not norm:
+        raise ZeroDivisionError("division by zero CRat")
+    return _canon((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
+
+
+def _fmt_imag(r: Fraction) -> str:
+    if r == 1 or r == -1:
+        return "i" if r == 1 else "-i"
+    if r.denominator == 1:
+        return f"{r.numerator}i"
+    return f"{'-' if r < 0 else ''}({abs(r)})i"
 
 
 ZERO = CRat(0)

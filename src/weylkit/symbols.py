@@ -32,12 +32,14 @@ quantisation) are checked against them in the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from fractions import Fraction
+from operator import add, sub
 
-from .rational import CRat, I, ONE
+from .rational import CRat, I, ONE, _fmt_imag
 
 __all__ = [
     "PolySymbol",
@@ -130,8 +132,7 @@ class _TermMap:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = CRat.coerce(other)
-            return self._new({key: v * c for key, v in self.terms.items()})
+            return self._new({key: v * other for key, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -166,36 +167,51 @@ class _TermMap:
         return not self.terms
 
 
-def _reorder(b: int, a: int):
-    """Weights of p̂^b q̂^a = Σ_k (−i)^k w_k q̂^{a−k} p̂^{b−k}: yields (k, w_k).
+@functools.lru_cache(maxsize=4096)
+def _reorder(b: int, a: int) -> tuple:
+    """Weights of p̂^b q̂^a = Σ_k (−i)^k w_k q̂^{a−k} p̂^{b−k}: pairs (k, w_k).
 
     w_k = k! C(b,k) C(a,k).  The same weights reorder ∂^b x^a =
     Σ_k w_k x^{a−k} ∂^{b−k} and give the symmetric shift between symbols
     and normal-ordered operators.
     """
-    for k in range(min(a, b) + 1):
-        yield k, math.factorial(k) * math.comb(b, k) * math.comb(a, k)
+    return tuple(
+        (k, math.factorial(k) * math.comb(b, k) * math.comb(a, k))
+        for k in range(min(a, b) + 1)
+    )
 
 
-def _normal_terms(pairs, phase=1) -> dict:
+@functools.lru_cache(maxsize=4096)
+def _contractions(c: tuple, e: tuple) -> tuple:
+    """Every way to push ∂^c through x^e: (k per variable, Σk, Π w_k)."""
+    out = []
+    for combo in itertools.product(*map(_reorder, c, e)):
+        ks = tuple(k for k, _ in combo)
+        out.append((ks, sum(ks), math.prod(w for _, w in combo)))
+    return tuple(out)
+
+
+def _normal_terms(pairs, turn: int = 0) -> dict:
     """Normal-ordered Σ coeff·(x^a ∂^c)(x^e ∂^f) over ((a, c), (e, f), coeff).
 
     Exponents are tuples with one entry per variable.  Each ∂^c_i is pushed
     through x^e_i with the weights of :func:`_reorder`, and a term with k
-    contractions in all carries phase^k: phase 1 composes differential
-    operators, phase −i multiplies in the Weyl algebra (x -> q̂, ∂ -> p̂).
-    The map is keyed by (multiplication, derivative) exponents and may hold
-    zeros.
+    contractions in all carries the phase i^(turn·k), applied as a unit
+    rotation: turn 0 composes differential operators, turn −1 (phase −i)
+    multiplies in the Weyl algebra (x -> q̂, ∂ -> p̂).  The map is keyed by
+    (multiplication, derivative) exponents and may hold zeros.
     """
     out: dict = {}
     for (a, c), (e, f), coeff in pairs:
-        choices = [list(_reorder(ci, ei)) for ci, ei in zip(c, e)]
-        for combo in itertools.product(*choices):
-            ks = [k for k, _ in combo]
-            mult = tuple(ai + ei - k for ai, ei, k in zip(a, e, ks))
-            der = tuple(ci + fi - k for ci, fi, k in zip(c, f, ks))
-            weight = math.prod(w for _, w in combo) * phase ** sum(ks)
-            _accumulate(out, (mult, der), coeff * weight)
+        ae = tuple(map(add, a, e))
+        cf = tuple(map(add, c, f))
+        for ks, k, w in _contractions(c, e):
+            term = coeff * w if w != 1 else coeff
+            if turn and k:
+                term = term.turn(turn * k)
+            key = (tuple(map(sub, ae, ks)), tuple(map(sub, cf, ks)))
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
     return out
 
 
@@ -264,8 +280,7 @@ class PolySymbol(_TermMap):
         for (m, n), c in self.terms.items():
             if m < dq or n < dp:
                 continue
-            factor = Fraction(math.perm(m, dq) * math.perm(n, dp))
-            terms[(m - dq, n - dp)] = c * factor
+            terms[(m - dq, n - dp)] = c * (math.perm(m, dq) * math.perm(n, dp))
         return self._new(terms)
 
     def conjugate(self) -> "PolySymbol":
@@ -320,7 +335,7 @@ _BLOCK_RE = re.compile(r"q*p*")
 def _nc_terms(pairs) -> dict:
     """Normal-ordered Σ coeff·(q̂^a p̂^b)(q̂^e p̂^f) over ((a, b), (e, f), coeff)."""
     line = _normal_terms(
-        ((((a,), (b,)), ((e,), (f,)), c) for (a, b), (e, f), c in pairs), -I
+        ((((a,), (b,)), ((e,), (f,)), c) for (a, b), (e, f), c in pairs), -1
     )
     return {(m, d): c for ((m,), (d,)), c in line.items()}
 
@@ -445,10 +460,12 @@ def _symmetric_shift(terms: dict, z: CRat) -> dict:
     with z = −i/2 it takes symbol terms back to normal-ordered operators.
     """
     out: dict = {}
+    z_powers = [ONE]
     for (a, b), coeff in terms.items():
         for k, w in _reorder(b, a):
-            key = (a - k, b - k)
-            out[key] = out.get(key, CRat(0)) + coeff * z ** k * w
+            if k == len(z_powers):
+                z_powers.append(z_powers[-1] * z)
+            _accumulate(out, (a - k, b - k), coeff * z_powers[k] * w)
     return out
 
 
@@ -496,9 +513,8 @@ def _j_power(A: PolySymbol, B: PolySymbol, k: int) -> PolySymbol:
         right = B.diff(dq=j, dp=k - j)
         if right.is_zero():
             continue
-        sign = CRat(math.comb(k, j)) * (ONE if j % 2 == 0 else CRat(-1))
-        out = out + left * right * sign
-    return out * CRat(Fraction(1, 2 ** k))
+        out = out + left * right * (-math.comb(k, j) if j % 2 else math.comb(k, j))
+    return out * (ONE / 2 ** k)
 
 
 def star_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
@@ -510,8 +526,7 @@ def star_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
     """
     out = PolySymbol.zero()
     for k in range(max(A.degree() + B.degree(), 0) + 1):
-        inv_fact = CRat(Fraction(1, math.factorial(k)))
-        out = out + _j_power(A, B, k) * (I ** k) * inv_fact
+        out = out + _j_power(A, B, k) * (ONE.turn(k) / math.factorial(k))
     return out
 
 
@@ -526,8 +541,8 @@ def moyal_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
     kmax = A.degree() + B.degree()
     out = PolySymbol.zero()
     for k in range(1, max(kmax, 0) + 1, 2):
-        sign = ONE if (k - 1) // 2 % 2 == 0 else CRat(-1)
-        out = out + _j_power(A, B, k) * sign * CRat(Fraction(2, math.factorial(k)))
+        sign = 1 if (k - 1) // 2 % 2 == 0 else -1
+        out = out + _j_power(A, B, k) * (CRat(2 * sign) / math.factorial(k))
     return out
 
 
@@ -564,15 +579,7 @@ def _fmt_coeff(c: CRat, *, has_vars: bool) -> str:
         body = str(mag) if mag.denominator == 1 else f"({mag})"
         return sign + body
     if c.is_imaginary():
-        v = c.im
-        if v == 1:
-            return "i"
-        if v == -1:
-            return "-i"
-        if v.denominator == 1:
-            return f"{v}i"
-        sign = "-" if v < 0 else ""
-        return f"{sign}({abs(v)})i"
+        return _fmt_imag(c.im)
     im = c.im
     return f"({c.re} {'+' if im > 0 else '-'} {abs(im)}i)"
 

@@ -71,12 +71,15 @@ class _Plan(NamedTuple):
 
     ``scatter[i, j]`` is the flat slot s·n + m of kernel entry (i, j) in
     the (2n, n) row layout; ``weight[σ]`` and ``phase[σ]`` are the vectors
-    w_σ and c_σ of the module docstring.
+    w_σ and c_σ of the module docstring, and ``inv_weight``/``inv_phase``
+    the conj(w_σ) and 1/c_σ that undo them in the inverse transform.
     """
 
     scatter: np.ndarray
     weight: np.ndarray
     phase: np.ndarray
+    inv_weight: np.ndarray
+    inv_phase: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -95,7 +98,7 @@ def _plan(grid: GridSpec) -> _Plan:
     phase = 2 * grid.dx * np.exp(
         1j * math.pi * sigma * ((n - sigma) / (2 * n) - m / n)
     )
-    tables = _Plan(scatter, weight, phase)
+    tables = _Plan(scatter, weight, phase, weight.conj(), 1 / phase)
     for table in tables:
         table.flags.writeable = False  # shared by every caller on this grid
     return tables
@@ -130,8 +133,8 @@ def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
     n = grid.n
     plan = _plan(grid)
-    rows = np.fft.ifft(A.reshape(n, 2, n) * (1 / plan.phase), axis=2)
-    rows *= plan.weight.conj()
+    rows = np.fft.ifft(A.reshape(n, 2, n) * plan.inv_phase, axis=2)
+    rows *= plan.inv_weight
     return rows.ravel()[plan.scatter]
 
 

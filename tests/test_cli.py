@@ -1,13 +1,21 @@
 """Command-line interface: exit codes, report files, config handling."""
 
+import contextlib
 import errno
+import hashlib
 import importlib
+import io
 import json
 import math
+import os
 import pathlib
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weylkit import GaussianAlphaSpec, GridSpec, alpha_kernel_from_A
 from weylkit.cli import _grid_consistency, canonical_json, main
@@ -605,3 +613,103 @@ def test_star_demo(tmp_path, capsys):
     assert body["passed"] is True
     assert (tmp_path / body["files"]["product"]).exists()
     assert (tmp_path / "star-demo-report.json").exists()
+
+
+# ----------------------------------------------------------------------
+# pinned report bytes of the exact suites
+# ----------------------------------------------------------------------
+
+# sha256 of the report files; these suites are exact, so the bytes do not
+# depend on the machine
+EXACT_REPORTS = {
+    ("symweyl", 0): "985ed2ed321cc1b84a85fa2e2622ffce32e51ea5afbaf5034579072553368e8f",
+    ("liftgen", 0): "c38229dfd32f06acfd723fc4ba6b8bfbd7f2a901d19c61fdd271f15dc588b3db",
+    ("symweyl", 1): "467ac5c12dadd749a8fff1b295b03850c1899582ebad9e2782aeea01fa78bf9d",
+    ("liftgen", 1): "09570d7889927bc670acc8c6cf6197f86136d8f2b3868133f5d898fa194cc5bd",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(EXACT_REPORTS))
+def test_exact_suite_reports_are_pinned(tmp_path, capsys, suite, seed):
+    code, out, _ = run(capsys, "check", suite, "--seed", str(seed), "--out", str(tmp_path))
+    assert code == 0
+    data = (tmp_path / f"check-{suite}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EXACT_REPORTS[suite, seed]
+    assert out.encode() == data
+
+
+# ----------------------------------------------------------------------
+# exit-code contract over generated argv
+# ----------------------------------------------------------------------
+
+# non-finite and extreme values beside ordinary ones; grid sizes stay small
+# (or are refused before any allocation), so no example allocates much
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300,
+                     1e-20, 1e20, 1e300, 1.7e308]),
+    st.floats(0.05, 5.0),
+)
+_COUNTS = st.sampled_from([-1, 0, 1, 2, 8, 10**30])
+_STATES = st.sampled_from([
+    "hermite:0", "hermite:3", "hermite:99", "(0.5+0.5j)*hermite:1-hermite:2",
+    "bogus", "hermite:x", "file:missing.json", "0*hermite:0", "1e308*hermite:0",
+    "nan*hermite:0",
+])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["wigner", "check", "factorize", "reps", "star-demo"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, str(draw(values))])
+
+    if command == "factorize":
+        argv += ["--tau", repr(draw(_FLOATS)), "--sigma", repr(draw(_FLOATS)),
+                 "--epsilon", draw(st.sampled_from(["1", "-1", "0"]))]
+        # 10**30 and 34 are refused by the dense-tabulation bound
+        maybe("--grid-n", st.sampled_from([-4, 3, 4, 6, 8, 34, 10**30]))
+        if draw(st.booleans()):
+            argv.append("--override")
+        maybe("--tol", _FLOATS.map(repr))
+        return argv
+    if command == "wigner":
+        argv.append(draw(_STATES))
+    if command == "check":
+        argv.append(draw(st.sampled_from(["wigner", "star", "symweyl", "liftgen", "reps"])))
+    argv += ["--grid-n", str(draw(st.sampled_from([4, 6, 8, 16, 5, -4])))]
+    maybe("--dx", _FLOATS.map(repr))
+    maybe("--r-max", _COUNTS)
+    maybe("--seed", _COUNTS)
+    maybe("--tol", _FLOATS.map(repr))
+    maybe("--format", st.sampled_from(["csv", "json", "xml"]))
+    return argv
+
+
+# requests that once ended in a traceback
+@example(argv=["check", "star", "--grid-n", "4"])
+@example(argv=["check", "star", "--grid-n", "8", "--tol", "inf"])
+@example(argv=["check", "star", "--grid-n", "8", "--dx", "1e+300"])
+@example(argv=["check", "star", "--grid-n", "6", "--dx", "1e-300"])
+@example(argv=["check", "wigner", "--grid-n", "4", "--dx", "1.7e+308"])
+@example(argv=["star-demo", "--grid-n", "8", "--dx", "1e+300"])
+@example(argv=["factorize", "--tau", "1.0", "--sigma", "1.0", "--epsilon", "1", "--grid-n", "4"])
+@given(argv=_argv())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    # every example runs in a fresh empty directory, so nothing it writes
+    # (or fails to write) can reach the next one
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")  # small grids warn about the basis extent
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
