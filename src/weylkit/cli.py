@@ -25,6 +25,7 @@ from . import __version__
 from .checks import SUITE_NAMES, run_all, run_suite
 from .factorize import (
     _DENSE_N_MAX,
+    _THRESHOLD,
     GaussianAlphaSpec,
     _check_mesh,
     alpha_kernel_from_A,
@@ -447,7 +448,7 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
                 "--grid-n must be at least 6: the consistency probes shift by up "
                 "to 8 half-steps, past the lattice of a smaller grid"
             )
-    threshold = config.tol if config.tol is not None else 1e-4
+    threshold = config.tol if config.tol is not None else _THRESHOLD
     R = spec.r_function()
     residual = autv_residual(R)
 

@@ -73,6 +73,9 @@ _MESH_POINTS_MAX = 1_000_000
 # midpoint step of the (u, v) quadratures
 _STEP = 0.1
 
+# largest consistency residual recover_A admits
+_THRESHOLD = 1e-4
+
 # Gaussian tails e^{-L^2/w} drop below 1e-12 for L = TAIL_FACTOR * sqrt(w).
 TAIL_FACTOR = math.sqrt(math.log(1e12))  # ~5.26
 
@@ -369,7 +372,7 @@ def _grouped_integrals(R: RFunction, rows: np.ndarray, step: float) -> np.ndarra
     return out
 
 
-def autv_residual(R: RFunction, *, probe=None, step: float = _STEP) -> float:
+def autv_residual(R: RFunction, *, probe=None) -> float:
     """Worst violation of the three-integral consistency identity.
 
     ``probe`` is an iterable of (x, y, u', v') tuples; the default is the
@@ -397,10 +400,10 @@ def autv_residual(R: RFunction, *, probe=None, step: float = _STEP) -> float:
         "autv_residual quadrature: u box ±%.3f, v box ±%.3f, step %.3f",
         R.u_extent,
         R.v_extent,
-        step,
+        _STEP,
     )
     lhs, plus, minus = _grouped_integrals(
-        R, np.concatenate([probe, plus, minus]), step
+        R, np.concatenate([probe, plus, minus]), _STEP
     ).reshape(3, -1)
     return float(np.max(np.abs(lhs - (plus - minus)), initial=0.0))
 
@@ -415,40 +418,32 @@ def recover_A(
     points,
     *,
     background: float = 0.0,
-    threshold: float = 1e-4,
     override: bool = False,
-    anchor: tuple | None = None,
-    step: float = _STEP,
 ) -> np.ndarray:
     """Recover the symbol A at the given (x, y) points from its R kernel.
 
     The consistency residual is computed first and must not exceed
-    ``threshold``; ``override=True`` skips that gate altogether (a caller
+    ``_THRESHOLD``; ``override=True`` skips that gate altogether (a caller
     that has already gated passes it to avoid a second residual).  Past
     the gate,
 
         A(x, y) = background + G(x, y) − G(anchor),
         G(x, y) = 4i ∬ sin(vx + uy) R(u, v, x, y) du dv,
 
-    with ``anchor`` a far-field point where the decaying part of A is
-    negligible (default: scaled from the decay extents of R).  Returns the
-    real part; the imaginary part is a quadrature residue for consistent
-    kernels.
+    with the anchor a far-field point, scaled from the decay extents of R,
+    where the decaying part of A is negligible.  Returns the real part;
+    the imaginary part is a quadrature residue for consistent kernels.
     """
     if not override:
-        residual = autv_residual(R, step=step)
-        if residual > threshold:
+        residual = autv_residual(R)
+        if residual > _THRESHOLD:
             raise ValueError(
                 f"consistency residual {residual:.3e} exceeds threshold "
-                f"{threshold:.1e}; this kernel does not come from a symbol "
+                f"{_THRESHOLD:.1e}; this kernel does not come from a symbol "
                 "(pass override=True to force recovery anyway)"
             )
-    if anchor is None:
-        anchor = (
-            TAIL_FACTOR ** 2 / R.v_extent,
-            TAIL_FACTOR ** 2 / R.u_extent,
-        )
-    logger.debug("recover_A anchor (%.3f, %.3f), step %.3f", *anchor, step)
+    anchor = (TAIL_FACTOR ** 2 / R.v_extent, TAIL_FACTOR ** 2 / R.u_extent)
+    logger.debug("recover_A anchor (%.3f, %.3f), step %.3f", *anchor, _STEP)
     xy = np.asarray([anchor, *points], dtype=float).reshape(-1, 2)
-    g = 4j * _grouped_integrals(R, np.concatenate([xy, xy], axis=1), step)
+    g = 4j * _grouped_integrals(R, np.concatenate([xy, xy], axis=1), _STEP)
     return (g[1:] - g[0] + background).real

@@ -101,9 +101,20 @@ def _scaled_factor(alpha: DiffOp, hbar) -> DiffOp:
     return split_test(z_conjugate(alpha, hbar)).require() * CRat(Fraction(hbar))
 
 
-def _require_zero(op: DiffOp, relation: str):
-    if not op.is_zero():
-        raise ArithmeticError(f"exact relation failed: {relation}; residual {op.pretty()}")
+def _verified(*relations) -> tuple:
+    """Check exact relations given as (report label, residual) pairs.
+
+    A residual is an exact value (operator or scalar) that must vanish,
+    or a list of them under one label.  Raises ArithmeticError naming the
+    first label that fails; returns the labels in order.
+    """
+    for label, residuals in relations:
+        for residual in residuals if isinstance(residuals, list) else [residuals]:
+            if residual != 0:
+                raise ArithmeticError(
+                    f"exact relation failed: {label}; residual {residual}"
+                )
+    return tuple(label for label, _ in relations)
 
 
 @dataclass(frozen=True)
@@ -111,20 +122,15 @@ class FactorizationResult:
     """Hilbert-space factorisation of a phase-space representation.
 
     ``hilbert_generators`` are exact one-variable operators (coordinate
-    picture unless noted), ``generators`` the phase-space generators they
-    came from.  ``cocycle_phase`` and ``additive_constants`` record the
-    gauge choices (all fixed to zero).  ``casimir_value`` holds the central
-    invariant of the factorised algebra: the quadratic Casimir for
-    sp(2,R), the central charge for the centrally extended families.
+    picture unless noted), with every gauge constant fixed to zero.
+    ``casimir_value`` holds the central invariant of the factorised
+    algebra: the quadratic Casimir for sp(2,R), the central charge for the
+    centrally extended families.
     """
 
     example: str
     generator_names: tuple
     hilbert_generators: tuple
-    generators: tuple = ()
-    hilbert_action: str = ""
-    cocycle_phase: float = 0.0
-    additive_constants: tuple = ()
     relations_checked: tuple = ()
     max_residual: float = 0.0
     casimir_value: object = None
@@ -226,30 +232,27 @@ def hw_factorize(hbar=1) -> FactorizationResult:
     """
     h = _exact_positive(hbar, "hbar")
     alpha1, alpha2 = hw_generators()
-    _require_zero(alpha1.commutator(alpha2), "[alpha1, alpha2] = 0")
     p_hat = _scaled_factor(alpha1, h)
     q_hat = _scaled_factor(alpha2, h)
-    _require_zero(
-        q_hat.commutator(p_hat) - DiffOp.constant(LINE_VARS, I * CRat(h)),
-        "[q_hat, p_hat] = i*hbar",
+    # unit shifts, crossed: chi(g1, g2) − chi(g2, g1) = 1/ħ ≠ 0
+    one, zero = Fraction(1), Fraction(0)
+    g1, g2 = HWElement(one, zero, h), HWElement(zero, one, h)
+    relations = _verified(
+        ("[alpha1, alpha2] = 0", alpha1.commutator(alpha2)),
+        (
+            "[q_hat, p_hat] = i*hbar",
+            q_hat.commutator(p_hat) - DiffOp.constant(LINE_VARS, I * CRat(h)),
+        ),
+        (
+            "cocycle chi(g1, g2) = g2.a2*g1.a1/hbar distinguishes crossed shifts",
+            hw_cocycle(g1, g2) - hw_cocycle(g2, g1) - one / h,
+        ),
     )
-    chi_12 = hw_cocycle(HWElement(1.0, 0.0, float(h)), HWElement(0.0, 1.0, float(h)))
-    chi_21 = hw_cocycle(HWElement(0.0, 1.0, float(h)), HWElement(1.0, 0.0, float(h)))
-    if chi_12 == chi_21:
-        raise ArithmeticError("cocycle failed to distinguish crossed shifts")
     return FactorizationResult(
         example="heisenberg_weyl",
         generator_names=("p_hat", "q_hat"),
         hilbert_generators=(p_hat, q_hat),
-        generators=(alpha1, alpha2),
-        hilbert_action="u(x) -> exp(i*a2*x/hbar) * u(x + a1)  (phase omega fixed to 0)",
-        cocycle_phase=0.0,
-        additive_constants=(0.0, 0.0),
-        relations_checked=(
-            "[alpha1, alpha2] = 0",
-            "[q_hat, p_hat] = i*hbar",
-            "cocycle chi(g1, g2) = g2.a2*g1.a1/hbar distinguishes crossed shifts",
-        ),
+        relations_checked=relations,
         max_residual=0.0,
         casimir_value=float(h),
         details={"hbar": float(h)},
@@ -298,40 +301,29 @@ def tower_factorization(N: int = 4) -> FactorizationResult:
     a1_hat = DiffOp.deriv(LINE_VARS, "x", coeff=-I)
     betas = [b for b, _ in pairs]
     b_hats = [bh for _, bh in pairs]
-    for n in range(2, N + 1):
-        _require_zero(
-            alpha1.commutator(betas[n - 1]) + I * betas[n - 2],
-            f"[alpha1, beta_{n}] = -i*beta_{n - 1}",
-        )
-        _require_zero(
-            a1_hat.commutator(b_hats[n - 1]) + I * b_hats[n - 2],
-            f"[A_1, B_{n}] = -i*B_{n - 1}",
-        )
-    _require_zero(alpha1.commutator(betas[0]), "[alpha1, beta_1] = 0")
-    _require_zero(
-        b_hats[0].commutator(a1_hat) - DiffOp.constant(LINE_VARS, I),
-        "[B_1, A_1] = i",
+
+    def lowering(a, ops):
+        return [a.commutator(ops[n]) + I * ops[n - 1] for n in range(1, N)]
+
+    def commuting(ops):
+        return [x.commutator(y) for j, x in enumerate(ops) for y in ops[j + 1:]]
+
+    relations = _verified(
+        ("[alpha1, beta_1] = 0", alpha1.commutator(betas[0])),
+        ("[alpha1, beta_n] = -i*beta_(n-1) for 2 <= n <= N", lowering(alpha1, betas)),
+        ("[beta_j, beta_k] = 0", commuting(betas)),
+        ("[A_1, B_n] = -i*B_(n-1) for 2 <= n <= N", lowering(a1_hat, b_hats)),
+        ("[B_j, B_k] = 0", commuting(b_hats)),
+        (
+            "[B_1, A_1] = i  (central extension, hbar = 1)",
+            b_hats[0].commutator(a1_hat) - DiffOp.constant(LINE_VARS, I),
+        ),
     )
-    for j in range(N):
-        for k in range(j + 1, N):
-            _require_zero(betas[j].commutator(betas[k]), "[beta_j, beta_k] = 0")
-            _require_zero(b_hats[j].commutator(b_hats[k]), "[B_j, B_k] = 0")
     return FactorizationResult(
         example="heisenberg_tower",
         generator_names=("A_1",) + tuple(f"B_{n}" for n in range(1, N + 1)),
         hilbert_generators=(a1_hat,) + tuple(b_hats),
-        generators=(alpha1,) + tuple(betas),
-        hilbert_action="",
-        cocycle_phase=0.0,
-        additive_constants=tuple(0.0 for _ in range(N + 1)),
-        relations_checked=(
-            "[alpha1, beta_1] = 0",
-            "[alpha1, beta_n] = -i*beta_(n-1) for 2 <= n <= N",
-            "[beta_j, beta_k] = 0",
-            "[A_1, B_n] = -i*B_(n-1) for 2 <= n <= N",
-            "[B_j, B_k] = 0",
-            "[B_1, A_1] = i  (central extension, hbar = 1)",
-        ),
+        relations_checked=relations,
         max_residual=0.0,
         casimir_value=1.0,
         details={"depth": N},
@@ -458,65 +450,47 @@ def _galilei_momentum_residual(m: float, grid: GridSpec) -> float:
     return float(np.max(np.abs(K_impl - K_ray)))
 
 
-def galilei_factorize(m=1, hbar=1, grid: GridSpec | None = None) -> FactorizationResult:
+def galilei_factorize(m=1, hbar=1) -> FactorizationResult:
     """Factorise the Galilei representation into Ĥ, K̂, p̂.
 
     Returns Ĥ = −(ħ²/2m)∂x², K̂ = m·x, p̂ = −iħ∂x (gauge constants
     e₀ = q₀ = p₀ = 0) and verifies the centrally extended relations
     [Ĥ, K̂] = −iħp̂, [Ĥ, p̂] = 0, [K̂, p̂] = iħm exactly.  When ħ = 1 the
     closed-form momentum-space ray action is also checked numerically
-    against the grid action (the lattice engine is dimensionless, ħ = 1).
+    against the grid action on n = 128, dx = 0.125 (the lattice engine is
+    dimensionless, ħ = 1).
     """
     m_exact = _exact_positive(m, "m")
     h = _exact_positive(hbar, "hbar")
     alpha1, alpha2, alpha3 = galilei_generators(m_exact)
-    _require_zero(
-        alpha1.commutator(alpha2) + I * alpha3, "[alpha1, alpha2] = -i*alpha3"
-    )
-    _require_zero(alpha2.commutator(alpha3), "[alpha2, alpha3] = 0")
-    _require_zero(alpha1.commutator(alpha3), "[alpha1, alpha3] = 0")
-
     h_hat = _scaled_factor(alpha1, h)
     k_hat = _scaled_factor(alpha2, h)
     p_hat = _scaled_factor(alpha3, h)
-    _require_zero(
-        h_hat.commutator(k_hat) + I * CRat(h) * p_hat,
-        "[H_hat, K_hat] = -i*hbar*p_hat",
-    )
-    _require_zero(h_hat.commutator(p_hat), "[H_hat, p_hat] = 0")
-    central = I * CRat(h * m_exact)
-    _require_zero(
-        k_hat.commutator(p_hat) - DiffOp.constant(LINE_VARS, central),
-        "[K_hat, p_hat] = i*hbar*m",
+    relations = _verified(
+        ("[alpha1, alpha2] = -i*alpha3", alpha1.commutator(alpha2) + I * alpha3),
+        ("[alpha2, alpha3] = 0", alpha2.commutator(alpha3)),
+        ("[alpha1, alpha3] = 0", alpha1.commutator(alpha3)),
+        ("[H_hat, K_hat] = -i*hbar*p_hat", h_hat.commutator(k_hat) + I * CRat(h) * p_hat),
+        ("[H_hat, p_hat] = 0", h_hat.commutator(p_hat)),
+        (
+            "[K_hat, p_hat] = i*hbar*m  (central charge hbar*m)",
+            k_hat.commutator(p_hat) - DiffOp.constant(LINE_VARS, I * CRat(h * m_exact)),
+        ),
     )
 
     residual = 0.0
     if h == 1:
-        residual = _galilei_momentum_residual(float(m_exact), grid or GridSpec(128, 0.125))
+        residual = _galilei_momentum_residual(float(m_exact), GridSpec(128, 0.125))
         if residual > 1e-6:
             raise ArithmeticError(
                 f"momentum-space ray action residual {residual:.3e} exceeds 1e-6"
             )
+        relations += ("momentum-space ray action matches the grid action on a Gaussian",)
     return FactorizationResult(
         example="galilei",
         generator_names=("H_hat", "K_hat", "p_hat"),
         hilbert_generators=(h_hat, k_hat, p_hat),
-        generators=(alpha1, alpha2, alpha3),
-        hilbert_action=(
-            "u(r) -> exp(-i*a1*r^2/(2m)) * exp(-i*(a2*a1 + a3)*r) * u(r + m*a2)"
-            "  (momentum picture, phase omega fixed to 0)"
-        ),
-        cocycle_phase=0.0,
-        additive_constants=(0.0, 0.0, 0.0),
-        relations_checked=(
-            "[alpha1, alpha2] = -i*alpha3",
-            "[alpha2, alpha3] = 0",
-            "[alpha1, alpha3] = 0",
-            "[H_hat, K_hat] = -i*hbar*p_hat",
-            "[H_hat, p_hat] = 0",
-            "[K_hat, p_hat] = i*hbar*m  (central charge hbar*m)",
-            "momentum-space ray action matches the grid action on a Gaussian",
-        ),
+        relations_checked=relations,
         max_residual=residual,
         casimir_value=float(h * m_exact),
         details={"m": float(m_exact), "hbar": float(h)},
@@ -588,15 +562,6 @@ def sp2_generators(params: Sp2Params):
     """
     syms = sp2_symbols(params)
     alphas = tuple(xi_lift(s) for s in syms)
-    _require_zero(
-        alphas[0].commutator(alphas[1]) + I * alphas[2], "[alpha1, alpha2] = -i*alpha3"
-    )
-    _require_zero(
-        alphas[1].commutator(alphas[2]) - I * alphas[0], "[alpha2, alpha3] = i*alpha1"
-    )
-    _require_zero(
-        alphas[2].commutator(alphas[0]) - I * alphas[1], "[alpha3, alpha1] = i*alpha2"
-    )
 
     # The Weyl correspondence sends the bracket {A, B} to −i[Â, B̂], so the
     # target relations pin each Â_i's additive constant:
@@ -608,22 +573,18 @@ def sp2_generators(params: Sp2Params):
     shifts = (k1, k2, k3)
     shifted = tuple(s + PolySymbol.constant(k) for s, k in zip(syms, shifts))
     a_hats = tuple(position_representation(weyl_quantize(s)) for s in shifted)
-    _require_zero(
-        a_hats[0].commutator(a_hats[1]) + I * a_hats[2], "[A_1, A_2] = -i*A_3"
-    )
-    _require_zero(
-        a_hats[1].commutator(a_hats[2]) - I * a_hats[0], "[A_2, A_3] = i*A_1"
-    )
-    _require_zero(
-        a_hats[2].commutator(a_hats[0]) - I * a_hats[1], "[A_3, A_1] = i*A_2"
-    )
 
-    casimir = (
-        -(a_hats[0] * a_hats[0]) - a_hats[1] * a_hats[1] + a_hats[2] * a_hats[2]
-    )
+    casimir = -(a_hats[0] * a_hats[0]) - a_hats[1] * a_hats[1] + a_hats[2] * a_hats[2]
     value = casimir.constant_part()
-    if casimir != DiffOp.constant(LINE_VARS, value):
-        raise ArithmeticError("quadratic Casimir is not a scalar")
+    relations = _verified(
+        ("[alpha1, alpha2] = -i*alpha3", alphas[0].commutator(alphas[1]) + I * alphas[2]),
+        ("[alpha2, alpha3] = i*alpha1", alphas[1].commutator(alphas[2]) - I * alphas[0]),
+        ("[alpha3, alpha1] = i*alpha2", alphas[2].commutator(alphas[0]) - I * alphas[1]),
+        ("[A_1, A_2] = -i*A_3", a_hats[0].commutator(a_hats[1]) + I * a_hats[2]),
+        ("[A_2, A_3] = i*A_1", a_hats[1].commutator(a_hats[2]) - I * a_hats[0]),
+        ("[A_3, A_1] = i*A_2", a_hats[2].commutator(a_hats[0]) - I * a_hats[1]),
+        ("-A_1^2 - A_2^2 + A_3^2 is a scalar", casimir - DiffOp.constant(LINE_VARS, value)),
+    )
     if not value.is_real():
         raise ArithmeticError(f"quadratic Casimir {value} is not real")
 
@@ -632,19 +593,7 @@ def sp2_generators(params: Sp2Params):
         example=label,
         generator_names=("A_1", "A_2", "A_3"),
         hilbert_generators=a_hats,
-        generators=alphas,
-        hilbert_action="",
-        cocycle_phase=0.0,
-        additive_constants=(0.0, 0.0, 0.0),
-        relations_checked=(
-            "[alpha1, alpha2] = -i*alpha3",
-            "[alpha2, alpha3] = i*alpha1",
-            "[alpha3, alpha1] = i*alpha2",
-            "[A_1, A_2] = -i*A_3",
-            "[A_2, A_3] = i*A_1",
-            "[A_3, A_1] = i*A_2",
-            "-A_1^2 - A_2^2 + A_3^2 is a scalar",
-        ),
+        relations_checked=relations,
         max_residual=0.0,
         casimir_value=value,
         details={

@@ -187,9 +187,10 @@ def _write_complex_rows(fh, data: np.ndarray):
 
 
 def _read_complex_rows(lines, count: int, shape) -> np.ndarray:
-    values = np.empty(count, dtype=complex)
+    # checked first: the header alone would size the allocation
     if len(lines) != count:
         raise ValueError(f"expected {count} data rows, found {len(lines)}")
+    values = np.empty(count, dtype=complex)
     for idx, line in enumerate(lines):
         re_s, im_s = line.split(",")
         values[idx] = complex(float(re_s), float(im_s))

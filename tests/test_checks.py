@@ -104,6 +104,64 @@ def test_reps_suite_lists_examples():
     assert -0.1875 in casimirs  # Case A quadratic Casimir
 
 
+_HW_RELATIONS = [
+    "[alpha1, alpha2] = 0",
+    "[q_hat, p_hat] = i*hbar",
+    "cocycle chi(g1, g2) = g2.a2*g1.a1/hbar distinguishes crossed shifts",
+]
+_GALILEI_RELATIONS = [
+    "[alpha1, alpha2] = -i*alpha3",
+    "[alpha2, alpha3] = 0",
+    "[alpha1, alpha3] = 0",
+    "[H_hat, K_hat] = -i*hbar*p_hat",
+    "[H_hat, p_hat] = 0",
+    "[K_hat, p_hat] = i*hbar*m  (central charge hbar*m)",
+    "momentum-space ray action matches the grid action on a Gaussian",
+]
+_SP2_RELATIONS = [
+    "[alpha1, alpha2] = -i*alpha3",
+    "[alpha2, alpha3] = i*alpha1",
+    "[alpha3, alpha1] = i*alpha2",
+    "[A_1, A_2] = -i*A_3",
+    "[A_2, A_3] = i*A_1",
+    "[A_3, A_1] = i*A_2",
+    "-A_1^2 - A_2^2 + A_3^2 is a scalar",
+]
+# (example, relations_checked) of every reps example, in report order:
+# hw at hbar = 1, 2; the tower; Galilei at m = 1, 3; sp(2,R) A, then B at
+# a = 0, 1, 2; time reversal
+REPS_RELATIONS = [
+    ("heisenberg_weyl", _HW_RELATIONS),
+    ("heisenberg_weyl", _HW_RELATIONS),
+    ("heisenberg_tower", [
+        "[alpha1, beta_1] = 0",
+        "[alpha1, beta_n] = -i*beta_(n-1) for 2 <= n <= N",
+        "[beta_j, beta_k] = 0",
+        "[A_1, B_n] = -i*B_(n-1) for 2 <= n <= N",
+        "[B_j, B_k] = 0",
+        "[B_1, A_1] = i  (central extension, hbar = 1)",
+    ]),
+    ("galilei", _GALILEI_RELATIONS),
+    ("galilei", _GALILEI_RELATIONS),
+    ("sp2_case_A", _SP2_RELATIONS),
+    ("sp2_case_B", _SP2_RELATIONS),
+    ("sp2_case_B", _SP2_RELATIONS),
+    ("sp2_case_B", _SP2_RELATIONS),
+    ("time_reversal", [
+        "Pi(g)^2 = identity (exact index permutation)",
+        "hermitian kernels: z_inv(parity(z_map(f))) = conj(f)",
+        "complex kernels: z_inv(parity(conj(z_map(f)))) = conj(f)",
+        "real symmetric kernels are fixed points",
+    ]),
+]
+
+
+def test_reps_relations_checked_are_pinned():
+    report = run_suite("reps", seed=0)
+    got = [(e["example"], e["relations_checked"]) for e in report["examples"]]
+    assert got == REPS_RELATIONS
+
+
 def test_exclusion_registry():
     assert len(EXCLUSIONS) == 1
     entry = EXCLUSIONS[0]

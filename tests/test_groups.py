@@ -33,6 +33,7 @@ from weylkit import (
     wigner_of_state,
     xi_lift,
 )
+from weylkit.groups import _verified
 from weylkit.lift import LINE_VARS
 
 
@@ -165,6 +166,16 @@ def test_tower_factorization_report():
     assert result.casimir_value == 1.0
     assert result.generator_names == ("A_1", "B_1", "B_2", "B_3", "B_4")
     assert any("central extension" in r for r in result.relations_checked)
+
+
+def test_verified_names_the_first_failing_relation():
+    x = DiffOp.mult(LINE_VARS, "x")
+    zero = DiffOp.zero(LINE_VARS)
+    assert _verified(("a", zero), ("b", [zero, zero]), ("c", Fraction(0))) == ("a", "b", "c")
+    with pytest.raises(ArithmeticError, match=r"relation failed: b; residual x"):
+        _verified(("a", zero), ("b", [zero, x]), ("c", x))
+    with pytest.raises(ArithmeticError, match=r"relation failed: c; residual 1/2"):
+        _verified(("a", zero), ("c", Fraction(1, 2)))
 
 
 # ----------------------------------------------------------------------

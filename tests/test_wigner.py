@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,22 @@ def test_csv_malformed_inputs_raise():
     # inconsistent dp
     with pytest.raises(ValueError):
         read_phase_csv(io.StringIO("# axes q:16:0.25 p:8:0.5\n" + "0.0,0.0\n" * 128))
+    # a huge header over one data row is refused before anything is sized
+    # from it (n = 10**5 would ask for 298 GiB and 149 GiB)
+    n = 100_000
+    huge = {
+        read_phase_csv: f"# axes q:{2 * n}:0.25 p:{n}:{math.pi / (n * 0.5)!r}\n",
+        read_kernel_csv: f"# axes x:{n}:0.5 y:{n}:0.5\n",
+    }
+    for reader, header in huge.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="data rows"):
+                reader(io.StringIO(header + "0.0,0.0\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
     # empty input has no axes header
     for reader in (read_phase_csv, read_kernel_csv):
         with pytest.raises(ValueError):
