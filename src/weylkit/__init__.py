@@ -34,7 +34,6 @@ from .lift import (
     split_test,
     table1_check,
     xi_lift,
-    xi_monomial,
     z_conjugate,
 )
 from .grids import GridSpec, hermite_basis, inner_h, inner_k
@@ -107,7 +106,6 @@ __all__ = [
     # differential operators and the generator lift
     "DiffOp",
     "xi_lift",
-    "xi_monomial",
     "z_conjugate",
     "SplitResult",
     "split_test",

@@ -7,8 +7,8 @@ Array outputs are written in the CSV or JSON layouts of
 :mod:`weylkit.wigner`; reports themselves are always JSON.
 
 Exit codes: 0 success, 1 invariant failure or gate refusal, 2 usage error
-(including an ``--out`` that is not a directory, or outputs that cannot
-be written).
+(including a grid size n above ``_GRID_N_MAX``, an ``--out`` that is not
+a directory, or outputs that cannot be written).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,10 @@ class RunConfig:
     seed: int = 0
     tol: float | None = None
 
+
+# every grid array is n x n or 2n x n complex, so n bounds the memory a
+# run can ask for before anything is allocated
+_GRID_N_MAX = 2048
 
 _CONFIG_TYPES = {
     "n": int,
@@ -123,6 +127,8 @@ def _build_config(args) -> tuple:
         raise UsageError("seed must be non-negative")
     if config.tol is not None and not 0 < config.tol < float("inf"):
         raise UsageError("tol must be positive and finite")
+    if config.n > _GRID_N_MAX:
+        raise UsageError(f"grid size n is limited to {_GRID_N_MAX}, got {config.n}")
     try:
         GridSpec(config.n, config.dx)
     except ValueError as exc:
@@ -166,16 +172,11 @@ def canonical_json(report: dict) -> str:
 def _envelope(command: str, config: RunConfig, body: dict) -> dict:
     # the output directory is deliberately not embedded: the same
     # config + seed gives byte-identical reports wherever they land
+    settings = asdict(config)
+    del settings["out"]
     return {
         "command": command,
-        "config": {
-            "n": config.n,
-            "dx": config.dx,
-            "r_max": config.r_max,
-            "format": config.format,
-            "seed": config.seed,
-            "tol": config.tol,
-        },
+        "config": settings,
         "seed": config.seed,
         "version": __version__,
         **body,

@@ -558,9 +558,10 @@ def poisson_bracket(A: PolySymbol, B: PolySymbol) -> PolySymbol:
 # Grammar (round-trips exactly):
 #
 #   expr     := [sign] term (sign term)*
-#   term     := coeff ['*' factors] | factors
+#   term     := coeff [['*'] factors] | factors
 #   factors  := var ['^' int] ('*' var ['^' int])*
-#   coeff    := rat | [rat | '(' rat ')'] 'i' | '(' [sign] rat sign rat 'i' ')'
+#   coeff    := rat | '(' [sign] rat ')' | [rat | '(' [sign] rat ')'] 'i'
+#             | '(' [sign] rat sign rat 'i' ')'
 #   rat      := int ['/' int]
 #   var      := 'q' | 'p'
 #
@@ -623,121 +624,57 @@ def format_ncpoly(x: NCPoly) -> str:
     )
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<imag>i)|(?P<var>[qp])|(?P<pow>\^)|(?P<mul>\*)|(?P<sign>[+-]))"
+_RAT = r"\d+(?:/\d+)?"
+_FACTOR = r"([qp])(?:\s*\^\s*(\d+))?"  # a variable and its power
+
+# One term; every token may follow whitespace, but nothing may trail the
+# last token.  All parts are optional: the loop rejects an empty term.
+_TERM_RE = re.compile(
+    rf"""
+    \s*(?P<sign>[+-])?
+    (?:\s*(?P<coeff>
+        (?:(?P<rat>{_RAT}) | \(\s*(?P<prat>[+-]?\s*{_RAT})\s*\))   # rat | (±rat)
+        (?P<imag>\s*i)?                                             #   [times i]
+      | \(\s*(?P<re>[+-]?\s*{_RAT})\s*(?P<im>[+-]\s*{_RAT})\s*i\s*\)   # (±rat ± rat i)
+      | (?P<unit>i)
+    ))?
+    (?:(?(coeff)\s*\*?)                   # a '*' only after a coefficient
+       \s*(?P<factors>{_FACTOR}(?:\s*\*\s*{_FACTOR})*))?
+    """,
+    re.VERBOSE,
 )
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == pos:
-            raise ValueError(f"cannot parse symbol text at {text[pos:]!r}")
-        pos = match.end()
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind)))
-    return tokens
+def _rat(text: str) -> Fraction:
+    """'[sign] int[/int]', spaces after the sign allowed; d = 0 is a ValueError."""
+    text = "".join(text.split())
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_symbol(text: str) -> PolySymbol:
     """Parse the printer's plain-text format back into a PolySymbol."""
-    tokens = _tokenize(text)
-    total = PolySymbol.zero()
-    idx = 0
-    size = len(tokens)
-
-    def parse_coeff_atom(i):
-        """Parse rat | (rat) | [rat]i | (rat)i | (rat ± rat i) at i, if any."""
-        if i >= size:
-            return None, i
-        kind, val = tokens[i]
-        if kind == "num":
-            rat = Fraction(val)
-            if i + 1 < size and tokens[i + 1][0] == "imag":
-                return CRat(0, rat), i + 2
-            return CRat(rat), i + 1
-        if kind == "imag":
-            return CRat(0, 1), i + 1
-        if kind == "lparen":
-            # (rat), (rat)i, or ([sign] re ± im i); the real part of the
-            # full complex form carries its own sign inside the parens
-            j = i + 1
-            re_sign = 1
-            if j < size and tokens[j][0] == "sign":
-                re_sign = 1 if tokens[j][1] == "+" else -1
-                j += 1
-            if j < size and tokens[j][0] == "num":
-                rat = Fraction(tokens[j][1]) * re_sign
-                j += 1
-                if j < size and tokens[j][0] == "rparen":
-                    if j + 1 < size and tokens[j + 1][0] == "imag":
-                        return CRat(0, rat), j + 2
-                    return CRat(rat), j + 1
-                if j + 3 < size and tokens[j][0] == "sign":
-                    sign = 1 if tokens[j][1] == "+" else -1
-                    if (
-                        tokens[j + 1][0] == "num"
-                        and tokens[j + 2][0] == "imag"
-                        and tokens[j + 3][0] == "rparen"
-                    ):
-                        im = Fraction(tokens[j + 1][1]) * sign
-                        return CRat(rat, im), j + 4
-        return None, i
-
-    def parse_term(i):
-        """Parse coeff | [coeff '*'] var ('*' var)* with '^'-powers at i."""
-        coeff, j = parse_coeff_atom(i)
-        has_coeff = coeff is not None
-        if not has_coeff:
-            coeff = CRat(1)
-        if has_coeff and j < size and tokens[j][0] == "mul":
-            j += 1
-            if j >= size or tokens[j][0] != "var":
-                raise ValueError("expected a variable after '*'")
-        m = n = 0
-        nvars = 0
-        while j < size and tokens[j][0] == "var":
-            var = tokens[j][1]
-            j += 1
-            power = 1
-            if j < size and tokens[j][0] == "pow":
-                if j + 1 >= size or tokens[j + 1][0] != "num":
-                    raise ValueError("exponent must be an integer")
-                power = int(tokens[j + 1][1])
-                j += 2
-            if var == "q":
-                m += power
-            else:
-                n += power
-            nvars += 1
-            if j < size and tokens[j][0] == "mul":
-                j += 1
-                if j >= size or tokens[j][0] != "var":
-                    raise ValueError("expected a variable after '*'")
-            else:
-                break
-        if not has_coeff and nvars == 0:
-            found = tokens[i][1] if i < size else "end of input"
-            raise ValueError(f"expected a term, found {found!r}")
-        return coeff, m, n, j
-
-    if size == 0:
+    if not text:
         raise ValueError("empty symbol text")
-    first = True
-    while idx < size:
-        sign = 1
-        if tokens[idx][0] == "sign":
-            if tokens[idx][1] == "-":
-                sign = -1
-            idx += 1
-        elif not first:
-            raise ValueError(f"expected '+' or '-' before {tokens[idx][1]!r}")
-        coeff, m, n, idx = parse_term(idx)
-        total = total + PolySymbol.monomial(m, n, coeff * sign)
-        first = False
+    total = PolySymbol.zero()
+    pos = 0
+    while pos < len(text):
+        term = _TERM_RE.match(text, pos)
+        if not (term["coeff"] or term["factors"]) or (pos and not term["sign"]):
+            raise ValueError(f"cannot parse symbol text at {text[pos:]!r}")
+        if term["re"]:
+            coeff = CRat(_rat(term["re"]), _rat(term["im"]))
+        else:  # rat or (±rat), either times i; a lone i; or no coefficient
+            rat = _rat(term["rat"] or term["prat"] or "1")
+            coeff = CRat(0, rat) if term["imag"] or term["unit"] else CRat(rat)
+        powers = {"q": 0, "p": 0}
+        for var, power in re.findall(_FACTOR, term["factors"] or ""):
+            powers[var] += int(power or 1)
+        sign = -1 if term["sign"] == "-" else 1
+        total = total + PolySymbol.monomial(powers["q"], powers["p"], coeff * sign)
+        pos = term.end()
     return total
 
 

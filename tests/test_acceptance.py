@@ -49,10 +49,9 @@ from weylkit import (
     weyl_wigner_inv,
     wigner_of_state,
     xi_lift,
-    xi_monomial,
     z_conjugate,
 )
-from weylkit.lift import LINE_VARS, PHASE_VARS
+from weylkit.lift import LINE_VARS, PHASE_VARS, xi_monomial
 
 CRITERIA = {
     "01": "transform round trips and Parseval hold at 1e-12",

@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weylkit import GaussianAlphaSpec, GridSpec, alpha_kernel_from_A
-from weylkit.cli import _grid_consistency, canonical_json, main
+from weylkit.cli import _build_config, _build_parser, _grid_consistency, canonical_json, main
 
 
 def run(capsys, *args):
@@ -150,6 +151,40 @@ def test_invalid_flag_values(tmp_path, monkeypatch, capsys, args):
     code, _, _ = run(capsys, *args)
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("wigner", "hermite:0", "--grid-n", "100000", "--dx", "0.01"),
+        ("check", "wigner", "--grid-n", "100000"),
+        ("check", "star", "--grid-n", "2050"),
+        ("check", "wigner", "--config", "n.cfg"),
+    ],
+)
+def test_grid_size_past_the_cap_is_refused_before_allocating(tmp_path, monkeypatch, capsys,
+                                                             args):
+    # a 10^5 grid would need about 149 GiB; the refusal must cost nothing
+    config_dir, work = tmp_path / "config", tmp_path / "work"
+    config_dir.mkdir()
+    work.mkdir()
+    (config_dir / "n.cfg").write_text("n = 100000\n")
+    monkeypatch.chdir(config_dir if "--config" in args else work)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err.startswith("error:") and "2048" in err and not out
+    assert list(work.iterdir()) == [] and list(config_dir.iterdir()) == [config_dir / "n.cfg"]
+    assert peak < 2**20
+
+
+def test_grid_size_at_the_cap_is_accepted(tmp_path):
+    args = _build_parser().parse_args(["check", "wigner", "--grid-n", "2048",
+                                       "--out", str(tmp_path)])
+    assert _build_config(args)[0].n == 2048
 
 
 # ----------------------------------------------------------------------
@@ -706,6 +741,8 @@ def _argv(draw):
 @example(argv=["check", "wigner", "--grid-n", "4", "--dx", "1.7e+308"])
 @example(argv=["star-demo", "--grid-n", "8", "--dx", "1e+300"])
 @example(argv=["factorize", "--tau", "1.0", "--sigma", "1.0", "--epsilon", "1", "--grid-n", "4"])
+@example(argv=["wigner", "hermite:0", "--grid-n", "100000", "--dx", "0.01"])
+@example(argv=["check", "wigner", "--grid-n", "100000"])
 @given(argv=_argv())
 def test_every_argv_keeps_the_exit_code_contract(argv):
     # every example runs in a fresh empty directory, so nothing it writes

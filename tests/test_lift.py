@@ -18,10 +18,9 @@ from weylkit import (
     split_test,
     table1_check,
     xi_lift,
-    xi_monomial,
     z_conjugate,
 )
-from weylkit.lift import KERNEL_VARS, LINE_VARS, PHASE_VARS
+from weylkit.lift import KERNEL_VARS, LINE_VARS, PHASE_VARS, xi_monomial
 
 Q = PolySymbol.q()
 P = PolySymbol.p()

@@ -349,8 +349,31 @@ def test_parse_inverts_format(a):
 
 
 @pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        (" - 2 q", PolySymbol.monomial(1, 0, -2)),
+        ("2q", PolySymbol.monomial(1, 0, 2)),
+        ("(-1/2)", PolySymbol.monomial(0, 0, Fraction(-1, 2))),
+        ("(+7/3)i", PolySymbol.monomial(0, 0, CRat(0, Fraction(7, 3)))),
+        ("1 i", PolySymbol.monomial(0, 0, I)),
+        ("q ^ 2*q", PolySymbol.monomial(3, 0)),
+        ("( 1/3 + 5 i )*q*p", PolySymbol.monomial(1, 1, CRat(Fraction(1, 3), 5))),
+        ("i*p", PolySymbol.monomial(0, 1, I)),
+        ("2iq", PolySymbol.monomial(1, 0, CRat(0, 2))),
+        ("(1 - 2i)p", PolySymbol.monomial(0, 1, CRat(1, -2))),
+        ("q-p+2/4", PolySymbol.monomial(1, 0) - PolySymbol.monomial(0, 1) + Fraction(1, 2)),
+        ("p * q^0 - (-3)", PolySymbol.monomial(0, 1) + 3),
+    ],
+)
+def test_parse_accepts_the_grammar(text, expected):
+    assert parse_symbol(text) == expected
+
+
+@pytest.mark.parametrize(
     "bad",
-    ["q^", "(1", "@", "q^x", "q p", "1 +", "(1 + 2j)*q", "^2", "q**2"],
+    ["q^", "(1", "@", "q^x", "q p", "1 +", "(1 + 2j)*q", "^2", "q**2",
+     "q ", "2*", "1 / 2", "q^2^3", "i i", "(1/2", "q^-1", "((1))",
+     "1/0", "(1/0)*q", "(1 + 1/0i)", "q^2 + 3/0"],
 )
 def test_parse_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
