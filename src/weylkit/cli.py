@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from . import __version__
 from .checks import SUITE_NAMES, run_all, run_suite
 from .factorize import (
     _DENSE_N_MAX,
+    _STEP,
     _THRESHOLD,
     GaussianAlphaSpec,
     _check_mesh,
@@ -53,32 +54,28 @@ class UsageError(Exception):
 # ----------------------------------------------------------------------
 
 
+def _setting(default, flag: str, kind: type, help_text: str):
+    """A run setting: its default, its flag on every subcommand, the type that
+    flag and config-file key are read with, and its help."""
+    return field(default=default, metadata={"flag": flag, "type": kind, "help": help_text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective run configuration, recorded verbatim in every report."""
 
-    n: int = 64
-    dx: float = 0.25
-    r_max: int = 8
-    out: str = "."
-    format: str = "json"
-    seed: int = 0
-    tol: float | None = None
+    n: int = _setting(64, "--grid-n", int, "grid size n")
+    dx: float = _setting(0.25, "--dx", float, "grid spacing")
+    r_max: int = _setting(8, "--r-max", int, "basis size bound")
+    out: str = _setting(".", "--out", str, "output directory (default '.')")
+    format: str = _setting("json", "--format", str, "array file format: json (default) or csv")
+    seed: int = _setting(0, "--seed", int, "seed for randomized checks")
+    tol: float | None = _setting(None, "--tol", float, "tolerance override")
 
 
 # every grid array is n x n or 2n x n complex, so n bounds the memory a
 # run can ask for before anything is allocated
 _GRID_N_MAX = 2048
-
-_CONFIG_TYPES = {
-    "n": int,
-    "dx": float,
-    "r_max": int,
-    "out": str,
-    "format": str,
-    "seed": int,
-    "tol": float,
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -87,6 +84,7 @@ def _load_config_file(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
+    types = {setting.name: setting.metadata["type"] for setting in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -96,13 +94,13 @@ def _load_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise UsageError(
                 f"{path}:{lineno}: unknown config key {key!r} "
-                f"(known: {', '.join(sorted(_CONFIG_TYPES))})"
+                f"(known: {', '.join(sorted(types))})"
             )
         try:
-            values[key] = _CONFIG_TYPES[key](value)
+            values[key] = types[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
@@ -110,13 +108,11 @@ def _load_config_file(path: str) -> dict:
 
 def _build_config(args) -> tuple:
     """Resolve defaults <- config file <- CLI flags; returns (config, explicit)."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, "grid_n" if key == "n" else key, None)
+    values = _load_config_file(args.config) if args.config else {}
+    for setting in fields(RunConfig):
+        flag = getattr(args, setting.name)
         if flag is not None:
-            values[key] = flag
+            values[setting.name] = flag
     explicit = set(values)
     config = RunConfig(**values)
     if config.format not in ("csv", "json"):
@@ -271,6 +267,8 @@ def _load_state_file(path: str, n: int) -> np.ndarray:
             payload = json.loads(text)
             re = np.asarray(payload["re"], dtype=float)
             im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
+            if im.shape != re.shape:  # one would broadcast over the other
+                raise UsageError(f"state file {path!r}: im has shape {im.shape}, re {re.shape}")
             psi = re + 1j * im
         else:
             rows = [ln for ln in text.splitlines() if ln.strip()]
@@ -351,25 +349,20 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
 
 
 # ----------------------------------------------------------------------
-# check / reps subcommands
+# check and reps subcommands
 # ----------------------------------------------------------------------
 
 
 def cmd_check(args, config: RunConfig, explicit) -> int:
+    """Run ``args.suite``; ``reps`` is this command on the reps suite."""
     grid = _grid(config) if explicit & {"n", "dx"} else None
     if args.suite == "all":
         body = run_all(seed=config.seed, tol=config.tol, grid=grid)
     else:
         body = run_suite(args.suite, seed=config.seed, tol=config.tol, grid=grid)
-    report = _envelope("check", config, body)
-    _emit_report(f"check-{args.suite}.json", report, config)
-    return 0 if body["passed"] else 1
-
-
-def cmd_reps(args, config: RunConfig, explicit) -> int:
-    body = run_suite("reps", seed=config.seed, tol=config.tol)
-    report = _envelope("reps", config, body)
-    _emit_report("reps-report.json", report, config)
+    report = _envelope(args.command, config, body)
+    name = "reps-report.json" if args.command == "reps" else f"check-{args.suite}.json"
+    _emit_report(name, report, config)
     return 0 if body["passed"] else 1
 
 
@@ -433,18 +426,19 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
         _check_mesh(spec.r_function())  # before any quadrature allocates
     except ValueError as exc:
         raise UsageError(str(exc))
-    # --grid-n is checked as a grid when the config is built
-    if args.grid_n is not None:
+    # --grid-n is checked as a grid when the config is built; a config-file
+    # n does not ask for the consistency grid
+    if args.n is not None:
         if spec.epsilon != 1:
             raise UsageError(
                 "--grid-n samples the generating symbol, which exists only "
                 "for epsilon = +1"
             )
-        if args.grid_n > _DENSE_N_MAX:
+        if args.n > _DENSE_N_MAX:
             raise UsageError(
                 f"--grid-n is limited to {_DENSE_N_MAX} (the kernel tabulation is dense)"
             )
-        if args.grid_n < 6:
+        if args.n < 6:
             raise UsageError(
                 "--grid-n must be at least 6: the consistency probes shift by up "
                 "to 8 half-steps, past the lattice of a smaller grid"
@@ -458,11 +452,16 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
         calibration = autv_residual(
             GaussianAlphaSpec(spec.tau, spec.sigma, 1).r_function()
         )
+        if calibration == 0.0:
+            raise UsageError(
+                f"--tau {spec.tau!r} and --sigma {spec.sigma!r} are too narrow for the quadrature "
+                f"step {_STEP}: the epsilon = +1 residual that scales residual_ratio is exactly 0"
+            )
         ratio = float(residual / calibration)
 
     grid_consistency = None
-    if args.grid_n is not None:
-        grid_consistency = _grid_consistency(spec, args.grid_n, config.seed)
+    if args.n is not None:
+        grid_consistency = _grid_consistency(spec, args.n, config.seed)
 
     admitted = residual <= threshold
     recovered_name = None
@@ -555,16 +554,13 @@ def cmd_star_demo(args, config: RunConfig, explicit) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--out", help="output directory (default '.')")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), help="array file format (default json)"
-    )
-    sub.add_argument("--seed", type=int, help="seed for randomized checks")
-    sub.add_argument("--tol", type=float, help="tolerance override")
+def _add_common(sub, **reworded) -> None:
+    """Add every run setting, and --config, to ``sub``; ``reworded`` maps a field to its help."""
+    for setting in fields(RunConfig):
+        meta = setting.metadata
+        sub.add_argument(meta["flag"], dest=setting.name, type=meta["type"],
+                         help=reworded.get(setting.name, meta["help"]))
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--dx", type=float, help="grid spacing")
-    sub.add_argument("--r-max", type=int, dest="r_max", help="basis size bound")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -584,13 +580,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'hermite:k', a superposition like '0.6*hermite:0+0.8j*hermite:1', "
         "or 'file:PATH'",
     )
-    wigner.add_argument("--grid-n", type=int, help="grid size n")
     _add_common(wigner)
     wigner.set_defaults(func=cmd_wigner)
 
     check = subs.add_parser("check", help="run a named invariant suite")
     check.add_argument("suite", choices=("all",) + SUITE_NAMES)
-    check.add_argument("--grid-n", type=int, help="grid size n")
     _add_common(check)
     check.set_defaults(func=cmd_check)
 
@@ -603,27 +597,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--epsilon", type=int, required=True, choices=(1, -1), help="sign parameter"
     )
     factorize.add_argument(
-        "--grid-n",
-        type=int,
-        help="also cross-check the gridded forward map at this grid size",
-    )
-    factorize.add_argument(
         "--override",
         action="store_true",
         help="recover even when the consistency gate refuses",
     )
-    _add_common(factorize)
+    _add_common(factorize, n="also cross-check the gridded forward map at this grid size")
     factorize.set_defaults(func=cmd_factorize)
 
     reps = subs.add_parser(
         "reps", help="group-representation factorisation reports"
     )
-    reps.add_argument("--grid-n", type=int, help="grid size n")
     _add_common(reps)
-    reps.set_defaults(func=cmd_reps)
+    reps.set_defaults(func=cmd_check, suite="reps")
 
     demo = subs.add_parser("star-demo", help="worked star-product demonstration")
-    demo.add_argument("--grid-n", type=int, help="grid size n")
     _add_common(demo)
     demo.set_defaults(func=cmd_star_demo)
 

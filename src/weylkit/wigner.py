@@ -173,138 +173,119 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
 # serialization: CSV and JSON
 # ----------------------------------------------------------------------
 #
-# CSV phase layout:   "# axes q:<2n>:<dq> p:<n>:<dp>"  (dq = dx/2)
-# then one "re,im" line per entry in row-major order.
-# CSV kernel layout:  "# axes x:<n>:<dx> y:<n>:<dx>"   then n*n lines.
-# JSON carries {"grid", "axes", "re", "im"}; floats serialize via repr and
-# so round-trip bit-exactly.
+# An archive states the axes of its array as ``_axes`` gives them, rows
+# first.  CSV: the header "# axes q:<2n>:<dq> p:<n>:<dp>" (a kernel's is
+# "x:<n>:<dx> y:<n>:<dx>"), then one "re,im" line per entry in row-major
+# order.  JSON: {"grid", "axes", "re", "im"}.  Floats serialize via repr
+# and so round-trip bit-exactly.
 
 
-def _write_complex_rows(fh, data: np.ndarray):
+def _axes(kind: str, grid: GridSpec) -> dict:
+    """Name -> (count, step) of the axes of a "phase" or "kernel" array on ``grid``."""
+    if kind == "phase":
+        return {"q": (2 * grid.n, grid.dx / 2), "p": (grid.n, grid.dp)}
+    return {"x": (grid.n, grid.dx), "y": (grid.n, grid.dx)}
+
+
+def _check_axes(stated: dict, kind: str, grid: GridSpec) -> tuple:
+    """Require the ``stated`` axes to be those of a ``kind`` array on ``grid``: the same
+    names in order, equal counts, steps equal to a relative 1e-12.  Returns its shape."""
+    expected = _axes(kind, grid)
+    if list(stated) != list(expected) or any(
+        stated[name][0] != count or not math.isclose(stated[name][1], step, rel_tol=1e-12)
+        for name, (count, step) in expected.items()
+    ):
+        raise ValueError(f"axes {stated} are not those of a {kind} array on {grid}: {expected}")
+    return tuple(count for count, _ in expected.values())
+
+
+def _write_csv(fh, data: np.ndarray, grid: GridSpec, kind: str):
+    axes = " ".join(f"{name}:{count}:{step!r}" for name, (count, step) in _axes(kind, grid).items())
+    fh.write(f"# axes {axes}\n")
     for value in np.asarray(data, dtype=complex).ravel():
         value = complex(value)  # plain-float repr, exact round trip
         fh.write(f"{value.real!r},{value.imag!r}\n")
 
 
-def _read_complex_rows(lines, count: int, shape) -> np.ndarray:
-    # checked first: the header alone would size the allocation
-    if len(lines) != count:
-        raise ValueError(f"expected {count} data rows, found {len(lines)}")
-    values = np.empty(count, dtype=complex)
-    for idx, line in enumerate(lines):
-        re_s, im_s = line.split(",")
-        values[idx] = complex(float(re_s), float(im_s))
-    return values.reshape(shape)
-
-
-def write_phase_csv(fh, A: np.ndarray, grid: GridSpec):
-    fh.write(f"# axes q:{2 * grid.n}:{grid.dx / 2!r} p:{grid.n}:{grid.dp!r}\n")
-    _write_complex_rows(fh, A)
-
-
-def write_kernel_csv(fh, K: np.ndarray, grid: GridSpec):
-    fh.write(f"# axes x:{grid.n}:{grid.dx!r} y:{grid.n}:{grid.dx!r}\n")
-    _write_complex_rows(fh, K)
-
-
-_AXIS_KINDS = {"phase": ("q", "p"), "kernel": ("x", "y")}
-
-
-def _parse_axes_header(line: str, kind: str):
-    names = _AXIS_KINDS[kind]
-    parts = line.strip().split()
-    if parts[:2] != ["#", "axes"] or len(parts) != 4:
-        raise ValueError(f"malformed axes header: {line!r}")
-    axes = []
-    for text, name in zip(parts[2:], names):
-        label, count, step = text.split(":")
-        if label != name:
-            raise ValueError(f"expected axis {name!r}, found {label!r}")
-        axes.append((int(count), float(step)))
-    return axes
-
-
-def _read_csv(fh, kind: str):
-    """Split a CSV archive into its parsed axes header and its data lines."""
+def _read_csv(fh, kind: str) -> tuple:
     lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"empty {kind} CSV: missing axes header")
-    return _parse_axes_header(lines[0], kind), lines[1:]
+    parts = lines[0].split()
+    if parts[:2] != ["#", "axes"] or len(parts) != 4:
+        raise ValueError(f"malformed axes header: {lines[0]!r}")
+    fields = (text.split(":") for text in parts[2:])
+    stated = {name: (int(count), float(step)) for name, count, step in fields}
+    (_, step), (n, _) = stated.values()  # the row step and the column count
+    grid = GridSpec(n, 2 * step if kind == "phase" else step)
+    shape = _check_axes(stated, kind, grid)
+    count, rows = shape[0] * shape[1], lines[1:]
+    # checked first: the header alone would size the allocation
+    if len(rows) != count:
+        raise ValueError(f"expected {count} data rows, found {len(rows)}")
+    values = np.empty(count, dtype=complex)
+    for idx, line in enumerate(rows):
+        re_s, im_s = line.split(",")
+        values[idx] = complex(float(re_s), float(im_s))
+    return values.reshape(shape), grid
 
 
-def read_phase_csv(fh):
-    """Read a phase-function CSV; returns (array, GridSpec)."""
-    ((rows, dq), (cols, dp)), lines = _read_csv(fh, "phase")
-    if rows != 2 * cols:
-        raise ValueError("phase axes must satisfy rows = 2 * cols")
-    grid = GridSpec(cols, 2 * dq)
-    if not math.isclose(grid.dp, dp, rel_tol=1e-12):
-        raise ValueError("momentum spacing inconsistent with dp = pi/(n dx)")
-    A = _read_complex_rows(lines, rows * cols, (rows, cols))
-    return A, grid
-
-
-def read_kernel_csv(fh):
-    """Read a kernel CSV; returns (array, GridSpec)."""
-    ((rows, dx), (cols, dy)), lines = _read_csv(fh, "kernel")
-    if rows != cols or dx != dy:
-        raise ValueError("kernel axes must be square with equal spacing")
-    grid = GridSpec(rows, dx)
-    K = _read_complex_rows(lines, rows * cols, (rows, cols))
-    return K, grid
-
-
-def _json_envelope(data: np.ndarray, grid: GridSpec, axes: dict) -> dict:
+def _to_json(data: np.ndarray, grid: GridSpec, kind: str) -> dict:
     data = np.asarray(data, dtype=complex)
     return {
         "grid": {"n": grid.n, "dx": grid.dx},
-        "axes": axes,
+        "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(kind, grid).items()},
         "re": data.real.tolist(),
         "im": data.imag.tolist(),
     }
 
 
-def phase_to_json(A: np.ndarray, grid: GridSpec) -> dict:
-    axes = {
-        "q": {"count": 2 * grid.n, "step": grid.dx / 2},
-        "p": {"count": grid.n, "step": grid.dp},
-    }
-    return _json_envelope(A, grid, axes)
-
-
-def kernel_to_json(K: np.ndarray, grid: GridSpec) -> dict:
-    axes = {
-        "x": {"count": grid.n, "step": grid.dx},
-        "y": {"count": grid.n, "step": grid.dx},
-    }
-    return _json_envelope(K, grid, axes)
-
-
-def _from_json(payload, expected_axes) -> tuple:
+def _from_json(payload, kind: str) -> tuple:
     if isinstance(payload, str):
         payload = json.loads(payload)
     try:
         grid = GridSpec(payload["grid"]["n"], float(payload["grid"]["dx"]))
-        axes = set(payload["axes"])
-        data = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
-            payload["im"], dtype=float
-        )
-    except (KeyError, TypeError) as exc:
+        re, im = (np.asarray(payload[part], dtype=float) for part in ("re", "im"))
+        # a JSON object's members carry no order: take the grid's axis names first
+        axes = {**dict.fromkeys(_axes(kind, grid)), **payload["axes"]}
+        stated = {name: (axis["count"], axis["step"]) for name, axis in axes.items()}
+        shape = _check_axes(stated, kind, grid)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed array payload: {exc!r}") from exc
-    if axes != set(expected_axes):
-        raise ValueError(f"expected axes {expected_axes}")
-    return data, grid
+    if re.shape != shape or im.shape != shape:
+        raise ValueError(f"re and im must each have shape {shape}")
+    return re + 1j * im, grid
+
+
+def write_phase_csv(fh, A: np.ndarray, grid: GridSpec):
+    _write_csv(fh, A, grid, "phase")
+
+
+def read_phase_csv(fh):
+    """Read a phase-function CSV; returns (array, GridSpec)."""
+    return _read_csv(fh, "phase")
+
+
+def write_kernel_csv(fh, K: np.ndarray, grid: GridSpec):
+    _write_csv(fh, K, grid, "kernel")
+
+
+def read_kernel_csv(fh):
+    """Read a kernel CSV; returns (array, GridSpec)."""
+    return _read_csv(fh, "kernel")
+
+
+def phase_to_json(A: np.ndarray, grid: GridSpec) -> dict:
+    return _to_json(A, grid, "phase")
 
 
 def phase_from_json(payload) -> tuple:
-    A, grid = _from_json(payload, ("q", "p"))
-    if A.shape != grid.phase_shape:
-        raise ValueError("phase data shape does not match grid")
-    return A, grid
+    return _from_json(payload, "phase")
+
+
+def kernel_to_json(K: np.ndarray, grid: GridSpec) -> dict:
+    return _to_json(K, grid, "kernel")
 
 
 def kernel_from_json(payload) -> tuple:
-    K, grid = _from_json(payload, ("x", "y"))
-    if K.shape != grid.kernel_shape:
-        raise ValueError("kernel data shape does not match grid")
-    return K, grid
+    return _from_json(payload, "kernel")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report files, config handling."""
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import importlib
@@ -19,7 +20,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weylkit import GaussianAlphaSpec, GridSpec, alpha_kernel_from_A
-from weylkit.cli import _build_config, _build_parser, _grid_consistency, canonical_json, main
+from weylkit.cli import (
+    RunConfig,
+    _build_config,
+    _build_parser,
+    _grid_consistency,
+    canonical_json,
+    main,
+)
 
 
 def run(capsys, *args):
@@ -119,6 +127,52 @@ def test_config_file_errors(tmp_path, capsys, content, fragment):
     code, _, err = run(capsys, "check", "star", "--config", str(cfg))
     assert code == 2
     assert "error:" in err and fragment in err
+
+
+# field -> (flag, value as text): one non-default value for every setting
+_SETTINGS = {
+    "n": ("--grid-n", "16"),
+    "dx": ("--dx", "0.5"),
+    "r_max": ("--r-max", "4"),
+    "out": ("--out", "reports"),
+    "format": ("--format", "csv"),
+    "seed": ("--seed", "3"),
+    "tol": ("--tol", "1e-06"),
+}
+_SUBCOMMANDS = {
+    "wigner": ["wigner", "hermite:0"],
+    "check": ["check", "star"],
+    "factorize": ["factorize", "--tau", "1", "--sigma", "1", "--epsilon", "1"],
+    "reps": ["reps"],
+    "star-demo": ["star-demo"],
+}
+
+
+def test_every_setting_is_a_flag_and_a_config_key():
+    assert set(_SETTINGS) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("key", sorted(_SETTINGS))
+def test_flag_and_config_key_give_the_same_config(tmp_path, monkeypatch, command, key):
+    monkeypatch.chdir(tmp_path)
+    flag, value = _SETTINGS[key]
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+    parser = _build_parser()
+    by_flag = _build_config(parser.parse_args([*_SUBCOMMANDS[command], flag, value]))
+    by_file = _build_config(parser.parse_args([*_SUBCOMMANDS[command], "--config", "run.cfg"]))
+    assert by_flag == by_file
+    assert by_flag[0] != RunConfig() and by_flag[1] == {key}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_unknown_format_is_a_usage_error(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("format = xml\n")
+    args = ("--format", "xml") if source == "flag" else ("--config", "run.cfg")
+    code, out, err = run(capsys, "star-demo", *args)
+    assert code == 2 and err.startswith("error:") and "format" in err and not out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -373,6 +427,28 @@ def test_wigner_bad_state_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+# re and im of 64 samples each, or one broadcast over the other
+_SAMPLES = json.dumps([0.1 * k for k in range(64)])
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        f'{{"re": {_SAMPLES}, "im": 0.5}}',
+        f'{{"re": {_SAMPLES}, "im": [0.0]}}',
+        f'{{"re": 1.0, "im": {_SAMPLES}}}',
+    ],
+    ids=["im-scalar", "im-one-sample", "re-scalar"],
+)
+def test_wigner_state_file_parts_must_each_hold_n_samples(tmp_path, capsys, content):
+    state = tmp_path / "state.json"
+    state.write_text(content)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "wigner", f"file:{state}", "--out", str(out_dir))
+    assert code == 2 and err.startswith("error:") and not out
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "name,content",
     [("nan.json", '{"re": [1.0, NaN, 0.0, 0.0]}'), ("inf.csv", "1.0\ninf,0\n0\n0\n")],
@@ -603,6 +679,16 @@ def test_factorize_outputs_are_byte_identical_across_runs(tmp_path, capsys, fmt)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outputs[0]) == ["factorize-report.json", f"recovered_A.{fmt}"]
     assert outputs[0] == outputs[1]
+
+
+def test_factorize_too_narrow_a_width_names_the_widths(tmp_path, capsys):
+    # the epsilon = +1 residual that scales residual_ratio is exactly 0 here
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "factorize", "--tau", "1.1", "--sigma", "5e-324",
+                         "--epsilon", "-1", "--out", str(out_dir))
+    assert code == 2 and err.startswith("error:") and not out
+    assert "sigma" in err and "grid spacing" not in err
+    assert not out_dir.exists()
 
 
 def test_factorize_usage_errors(capsys):

@@ -242,6 +242,9 @@ def test_csv_header_is_machine_readable():
     write_phase_csv(buf, np.zeros(grid.phase_shape), grid)
     header = buf.getvalue().splitlines()[0]
     assert header == f"# axes q:16:{0.25!r} p:8:{grid.dp!r}"
+    buf = io.StringIO()
+    write_kernel_csv(buf, np.zeros(grid.kernel_shape), grid)
+    assert buf.getvalue().splitlines()[0] == "# axes x:8:0.5 y:8:0.5"
 
 
 def test_csv_malformed_inputs_raise():
@@ -309,8 +312,49 @@ def test_json_shape_and_axes_validation():
     payload["grid"]["n"] = 8.7
     with pytest.raises(ValueError):
         phase_from_json(payload)
+    # re and im must each have the grid's shape: no broadcasting
+    for key, value in (("im", 5), ("im", [[1.0]] * 16), ("re", [[0.0] * 8])):
+        payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+        payload[key] = value
+        with pytest.raises(ValueError):
+            phase_from_json(payload)
+    payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
+    payload["re"] = 0.0
+    with pytest.raises(ValueError):
+        kernel_from_json(payload)
+    # the stated axes must be the grid's
+    for axis, key, value in (("q", "count", 999), ("p", "step", -grid.dp), ("q", "step", 0.5)):
+        payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+        payload["axes"][axis][key] = value
+        with pytest.raises(ValueError):
+            phase_from_json(payload)
+    payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
+    payload["axes"]["y"]["count"] = 9
+    with pytest.raises(ValueError):
+        kernel_from_json(payload)
     # missing keys and non-object payloads
     for reader in (phase_from_json, kernel_from_json):
         for bad in ("{}", "[]", '"text"', '{"grid": 8}', {"grid": {"n": 8}}):
             with pytest.raises(ValueError):
                 reader(bad)
+
+
+def test_stated_steps_match_the_grid_to_a_relative_1e_12():
+    grid = GridSpec(8, 0.5)
+    rows = "0.0,0.0\n" * 64
+    for rel, accepted in ((1e-14, True), (1e-10, False)):
+        text = f"# axes x:8:0.5 y:8:{0.5 * (1 + rel)!r}\n" + rows
+        payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
+        payload["axes"]["y"]["step"] *= 1 + rel
+        for read, archive in ((read_kernel_csv, io.StringIO(text)), (kernel_from_json, payload)):
+            if accepted:
+                assert read(archive)[1] == grid
+            else:
+                with pytest.raises(ValueError):
+                    read(archive)
+    # a JSON object's members carry no order; a CSV header's axes do
+    payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+    payload["axes"] = dict(reversed(payload["axes"].items()))
+    assert phase_from_json(payload)[1] == grid
+    with pytest.raises(ValueError):
+        read_kernel_csv(io.StringIO("# axes y:8:0.5 x:8:0.5\n" + rows))
