@@ -218,6 +218,12 @@ def star_adjoint(A: np.ndarray, grid: GridSpec) -> np.ndarray:
     return weyl_wigner(K.conj().T, grid)
 
 
+def _sum(a: np.ndarray):
+    """Σ a, Re and Im summed apart in the order of a real sum (a complex sum
+    interleaves them): a real array and its complex upcast agree bit for bit."""
+    return complex(np.sum(a.real), np.sum(a.imag)) if np.iscomplexobj(a) else np.sum(a)
+
+
 def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
     """Idempotency and normalization residuals of a candidate pure-state W.
 
@@ -228,14 +234,14 @@ def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
 
     both ~0 exactly when W is the Wigner function of a unit-norm state.
     """
-    W = np.asarray(W, dtype=complex)
+    W = np.asarray(W)
     K = weyl_wigner_inv(W, grid)
     square = weyl_wigner(_compose((K,), lambda k: k @ k, grid.dx), grid)  # W ⋆ W
-    square -= W / (2 * math.pi)
+    square -= W * (1 / (2 * math.pi))  # the bits of a complex W's division, for a real W too
     r1 = float(np.max(np.abs(square)))
     cell = grid.cell
     r2 = float(
-        abs(2 * math.pi * np.sum(W ** 2) * cell - 1) + abs(np.sum(W) * cell - 1)
+        abs(2 * math.pi * _sum(W ** 2) * cell - 1) + abs(_sum(W) * cell - 1)
     )
     return r1, r2
 

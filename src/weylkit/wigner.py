@@ -37,6 +37,7 @@ Structural facts used throughout (and enforced by tests):
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import NamedTuple
@@ -126,9 +127,10 @@ def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
 def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Kernel of a phase function; exact inverse of :func:`weyl_wigner`.
 
-    Row 2n−1 carries no kernel data and is ignored.
+    Row 2n−1 carries no kernel data and is ignored.  A real ``A`` is not
+    upcast: its complex rows have the bits of those of ``A.astype(complex)``.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
     if A.shape != grid.phase_shape:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
     n = grid.n
@@ -159,14 +161,16 @@ def parity(A: np.ndarray, grid: GridSpec) -> np.ndarray:
 def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Wigner function of a pure state: transform of ψ ⊗ ψ̄ over 2π.
 
-    For a unit-norm state the result is real with Σ W · (dx/2) dp = 1 up
-    to the Riemann error of the state's tails.
+    A real float64 array, bit for bit the real part of that quotient: the
+    kernel is Hermitian, so its imaginary part is rounding alone.  For a
+    unit-norm state Σ W · (dx/2) dp = 1 up to the Riemann error of the tails.
     """
     psi = np.asarray(psi)
     if psi.shape != (grid.n,):
         raise ValueError("state must be a 1-d array of length n")
-    K = np.outer(psi, np.conj(psi))
-    return weyl_wigner(K, grid) / (2 * math.pi)
+    W = weyl_wigner(np.outer(psi, np.conj(psi)), grid)
+    W /= 2 * math.pi  # in place: the bits of the out-of-place complex division
+    return W.real
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +181,7 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
 # first.  CSV: the header "# axes q:<2n>:<dq> p:<n>:<dp>" (a kernel's is
 # "x:<n>:<dx> y:<n>:<dx>"), then one "re,im" line per entry in row-major
 # order.  JSON: {"grid", "axes", "re", "im"}.  Floats serialize via repr
-# and so round-trip bit-exactly.
+# and so round-trip bit-exactly; a real array writes an exact 0.0 as im.
 
 
 def _axes(kind: str, grid: GridSpec) -> dict:
@@ -202,9 +206,10 @@ def _check_axes(stated: dict, kind: str, grid: GridSpec) -> tuple:
 def _write_csv(fh, data: np.ndarray, grid: GridSpec, kind: str):
     axes = " ".join(f"{name}:{count}:{step!r}" for name, (count, step) in _axes(kind, grid).items())
     fh.write(f"# axes {axes}\n")
-    for value in np.asarray(data, dtype=complex).ravel():
-        value = complex(value)  # plain-float repr, exact round trip
-        fh.write(f"{value.real!r},{value.imag!r}\n")
+    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
+    # a row at a time: the text of the whole array at once would set the peak memory
+    for row in data.reshape(-1, grid.n):
+        fh.write("".join(map("{!r},{!r}\n".format, row.real.tolist(), row.imag.tolist())))
 
 
 def _read_csv(fh, kind: str) -> tuple:
@@ -217,21 +222,25 @@ def _read_csv(fh, kind: str) -> tuple:
     fields = (text.split(":") for text in parts[2:])
     stated = {name: (int(count), float(step)) for name, count, step in fields}
     (_, step), (n, _) = stated.values()  # the row step and the column count
-    grid = GridSpec(n, 2 * step if kind == "phase" else step)
-    shape = _check_axes(stated, kind, grid)
+    try:
+        grid = GridSpec(n, 2 * step if kind == "phase" else step)
+        shape = _check_axes(stated, kind, grid)
+    except OverflowError as exc:  # a count too large for a float
+        raise ValueError(f"malformed axes header: {exc!r}") from exc
     count, rows = shape[0] * shape[1], lines[1:]
     # checked first: the header alone would size the allocation
     if len(rows) != count:
         raise ValueError(f"expected {count} data rows, found {len(rows)}")
-    values = np.empty(count, dtype=complex)
-    for idx, line in enumerate(rows):
-        re_s, im_s = line.split(",")
-        values[idx] = complex(float(re_s), float(im_s))
-    return values.reshape(shape), grid
+    if any(row.count(",") != 1 for row in rows):
+        raise ValueError("every data row must be re,im")
+    # C-level maps; one split of the joined rows is no faster, at 1.7× the peak memory
+    entries = itertools.chain.from_iterable(map(str.split, rows, itertools.repeat(",")))
+    values = np.fromiter(map(float, entries), dtype=float, count=2 * count)
+    return values.view(complex).reshape(shape), grid
 
 
 def _to_json(data: np.ndarray, grid: GridSpec, kind: str) -> dict:
-    data = np.asarray(data, dtype=complex)
+    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
     return {
         "grid": {"n": grid.n, "dx": grid.dx},
         "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(kind, grid).items()},

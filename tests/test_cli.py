@@ -359,6 +359,22 @@ def test_wigner_csv_output(tmp_path, capsys):
     assert header.startswith("# axes q:")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_wigner_array_carries_an_exact_zero_im(tmp_path, capsys, fmt):
+    code, out, _ = run(
+        capsys, "wigner", "0.6*hermite:0 + 0.8j*hermite:1", "--format", fmt, "--out", str(tmp_path)
+    )
+    assert code == 0
+    text = (tmp_path / json.loads(out)["files"]["wigner"]).read_text()
+    if fmt == "csv":
+        rows = text.splitlines()[1:]
+        assert len(rows) == 2 * 64 * 64 and all(row.endswith(",0.0") for row in rows)
+    else:
+        im = json.loads(text)["im"]
+        assert '"im":[[0.0,' in text and np.array_equal(im, np.zeros((2 * 64, 64)))
+        assert not np.signbit(im).any()
+
+
 def test_wigner_state_from_file(tmp_path, capsys):
     # build a state file from the CLI's own basis convention: a JSON list
     from weylkit import GridSpec, hermite_basis

@@ -105,6 +105,20 @@ def test_ground_state_is_star_idempotent():
     assert r2 < 1e-8
 
 
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_real_phase_arrays_and_their_complex_upcast_agree_bit_for_bit(n):
+    grid = GridSpec(n, np.sqrt(np.pi / n))
+    rng = np.random.default_rng(n)
+    W = wigner_of_state(hermite_basis(grid, 2)[1], grid)
+    for real in (W, np.ascontiguousarray(W), rng.standard_normal(grid.phase_shape)):
+        upcast = real.astype(complex)
+        K, K_upcast = weyl_wigner_inv(real, grid), weyl_wigner_inv(upcast, grid)
+        assert np.array_equal(K.view(np.int64), K_upcast.view(np.int64))
+        residuals = np.array(purity_residual(real, grid))
+        upcast_residuals = np.array(purity_residual(upcast, grid))
+        assert np.array_equal(residuals.view(np.int64), upcast_residuals.view(np.int64))
+
+
 def test_distinct_states_star_to_zero():
     basis = hermite_basis(GRID, 2)
     W0 = wigner_of_state(basis[0], GRID)

@@ -212,6 +212,25 @@ def test_state_wigner_normalization_and_purity_integrals():
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_wigner_of_state_is_the_real_part_of_the_transform(n):
+    # bit for bit, signed zeros included: compared through an int64 view
+    grid = GridSpec(n, math.sqrt(math.pi / n))
+    rng = np.random.default_rng(n)
+    basis = hermite_basis(grid, 2)
+    states = [
+        basis[0],
+        basis[1],
+        0.6 * basis[0] - 0.8j * basis[1],
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    ]
+    for psi in states:
+        W = wigner_of_state(psi, grid)
+        expected = (weyl_wigner(np.outer(psi, psi.conj()), grid) / (2 * math.pi)).real
+        assert W.dtype == np.float64 and W.shape == grid.phase_shape
+        assert np.array_equal(W.view(np.int64), expected.view(np.int64))
+
+
 def test_phase_csv_round_trip_is_exact():
     rng = np.random.default_rng(21)
     grid = GridSpec(8, 0.5)
@@ -277,12 +296,58 @@ def test_csv_malformed_inputs_raise():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+    # counts too large for a float over one data row: the phase grid's dp
+    # would overflow, and both readers refuse them as malformed
+    big = 10**400
+    with pytest.raises(ValueError):
+        read_phase_csv(io.StringIO(f"# axes q:{2 * big}:0.25 p:{big}:0.0\n0.0,0.0\n"))
+    with pytest.raises(ValueError):
+        read_kernel_csv(io.StringIO(f"# axes x:{big}:0.5 y:{big}:0.5\n0.0,0.0\n"))
+    # one comma a row, even where the fields of two rows would add up
+    lines = buf.getvalue().splitlines()
+    lines[1], lines[2] = "0.0", "0.0,0.0,0.0"
+    with pytest.raises(ValueError, match="re,im"):
+        read_phase_csv(io.StringIO("\n".join(lines)))
     # empty input has no axes header
     for reader in (read_phase_csv, read_kernel_csv):
         with pytest.raises(ValueError):
             reader(io.StringIO(""))
         with pytest.raises(ValueError):
             reader(io.StringIO("\n  \n"))
+
+
+def test_phase_csv_rows_are_the_repr_of_each_value():
+    grid = GridSpec(4, 0.5)
+    edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e16, 1e-5, -1e-5, 1.0 / 3]
+    flat = np.array(edge * 4)[: 2 * grid.n * grid.n]
+    A = np.zeros(grid.phase_shape, dtype=complex)
+    A.real, A.imag = flat.reshape(grid.phase_shape), flat[::-1].reshape(grid.phase_shape)
+    for data in (A, A.real):
+        buf = io.StringIO()
+        write_phase_csv(buf, data, grid)
+        body = buf.getvalue().split("\n", 1)[1]
+        expected = "".join(f"{v.real!r},{v.imag!r}\n" for v in data.astype(complex).ravel().tolist())
+        assert body == expected
+    # a real array writes an exact, positive 0.0 as every im
+    assert all(line.endswith(",0.0") for line in body.splitlines())
+
+
+def test_phase_csv_is_written_a_row_at_a_time(tmp_path):
+    # the text of the whole n = 256 array (131,072 entries) takes well
+    # over 4 MiB; one row of it takes about 10 KiB
+    grid = GridSpec(256, math.sqrt(math.pi / 256))
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal(grid.phase_shape) + 1j * rng.standard_normal(grid.phase_shape)
+    with open(tmp_path / "a.csv", "w") as fh:
+        tracemalloc.start()
+        try:
+            write_phase_csv(fh, A, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20
+    with open(tmp_path / "a.csv") as fh:
+        assert np.array_equal(read_phase_csv(fh)[0], A)
 
 
 def test_json_round_trips_are_exact():
