@@ -140,7 +140,9 @@ def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
         round_p = max(round_p, _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1))
         lhs = inner_k(A1, weyl_wigner(K2, grid), grid)
         rhs = grid.dx**2 * np.vdot(K1, K2)
-        parseval = max(parseval, abs(lhs - rhs))
+        # relative to the Cauchy-Schwarz bound: both sides grow as dx²·n
+        scale = grid.dx**2 * np.linalg.norm(K1) * np.linalg.norm(K2)
+        parseval = max(parseval, abs(lhs - rhs) / scale)
         transpose = max(transpose, _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)))
 
     F = weyl_wigner(_random_kernel(rng, grid), grid)
@@ -456,14 +458,7 @@ def _run_reps(seed: int, tol, grid) -> dict:
         try:
             report = build()
         except (ArithmeticError, ValueError) as exc:
-            invariants.append(
-                {
-                    "name": f"{label}: failed to build: {exc}",
-                    "residual": 1.0,
-                    "tolerance": 0.0,
-                    "passed": False,
-                }
-            )
+            invariants.append(_exact(f"{label}: failed to build: {exc}", False))
             return None
         examples.append(report)
         invariants.append(

@@ -25,7 +25,7 @@ position variables (("x",) or ("x", "y")).
 from __future__ import annotations
 
 from .rational import CRat, ONE
-from .symbols import _SCALARS, PolySymbol, _join_terms, _normal_terms, _TermMap
+from .symbols import _SCALARS, PolySymbol, _apply, _join_terms, _normal_terms, _TermMap
 
 __all__ = ["DiffOp"]
 
@@ -92,20 +92,6 @@ class DiffOp(_TermMap):
         der = tuple(power if j == i else 0 for j in range(d))
         return cls(variables, {((0,) * d, der): coeff})
 
-    @classmethod
-    def from_symbol_coefficient(cls, variables, A: PolySymbol, der) -> "DiffOp":
-        """Operator (multiplication by A) ∘ (∂^der), for 2-variable algebras.
-
-        ``A``'s monomials q^m p^n map to multiplication exponents (m, n);
-        ``der`` is the derivative exponent tuple.
-        """
-        variables = tuple(variables)
-        if len(variables) != 2:
-            raise ValueError("symbol coefficients require a 2-variable algebra")
-        der = tuple(map(int, der))
-        terms = {((m, n), der): c for (m, n), c in A.terms.items()}
-        return cls(variables, terms)
-
     # -- algebra ----------------------------------------------------------
 
     def _coerce(self, value):
@@ -167,16 +153,10 @@ class DiffOp(_TermMap):
     # -- actions ----------------------------------------------------------
 
     def apply_to_symbol(self, A: PolySymbol) -> PolySymbol:
-        """Apply to a polynomial in (q, p); only for the 2-variable algebra."""
+        """Apply to a polynomial in (q, p) by :func:`weylkit.symbols._apply`; 2 variables only."""
         if len(self.variables) != 2:
             raise ValueError("apply_to_symbol requires a 2-variable operator")
-        out = PolySymbol.zero()
-        for ((m, n), (c0, c1)), coeff in self.terms.items():
-            piece = A.diff(dq=c0, dp=c1)
-            if piece.is_zero():
-                continue
-            out = out + piece * PolySymbol.monomial(m, n, coeff)
-        return out
+        return _apply(self.terms, A)
 
     # -- formatting --------------------------------------------------------
 

@@ -61,7 +61,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# largest grid the sampled mode of alpha_kernel_from_A tabulates densely
+# largest grid alpha_kernel_from_A tabulates densely
 _DENSE_N_MAX = 32
 
 # Largest (u, v) quadrature mesh.  One R slice on the mesh is a complex
@@ -188,78 +188,26 @@ class GaussianAlphaSpec:
             self.sigma * self.tau
         ) * np.exp(-self.sigma * np.asarray(q) ** 2 - self.tau * np.asarray(p) ** 2)
 
-    def a_tilde(self, q, p):
-        """Decaying part of the generating symbol."""
-        return self.a_function(q, p) - self.background
-
 
 # ----------------------------------------------------------------------
 # forward map: symbol -> two-point kernel
 # ----------------------------------------------------------------------
 
 
-def alpha_kernel_from_A(
-    A=None,
-    grid: GridSpec | None = None,
-    *,
-    closure: Callable | None = None,
-    box: tuple | None = None,
-    step: float = 0.05,
-    background: float = 0.0,
-) -> AlphaKernel:
-    """Two-point kernel of a symbol, from samples or from a closure.
+def alpha_kernel_from_A(A, grid: GridSpec, *, background: float = 0.0) -> AlphaKernel:
+    """Two-point kernel of a symbol sampled as a (2n, n) phase array.
 
-    Gridded mode (``A`` a (2n, n) phase array with its ``grid``): Ã̂ is
-    tabulated on the shift lattice by dense matrix products and the kernel
-    evaluates at grid-aligned points only — positions on the dx/2 lattice
-    and momenta on the dp/2 lattice.  Off-lattice points raise ValueError.
-    Limited to n <= 32 (the tabulation is dense).
+    Ã̂ is tabulated on the shift lattice by dense matrix products and the
+    kernel evaluates at grid-aligned points only — positions on the dx/2
+    lattice and momenta on the dp/2 lattice.  Off-lattice points raise
+    ValueError.  Limited to n <= 32 (the tabulation is dense).
 
-    Closure mode (``closure`` = decaying part Ã as a callable with
-    ``box = (q_half_width, p_half_width)``): Ã̂ is computed by midpoint
-    quadrature and the kernel evaluates anywhere.
-
-    ``background`` is subtracted from gridded samples before transforming
+    ``background`` is subtracted from the samples before transforming
     (the constant part of A carries no kernel content and would otherwise
     alias into Ã̂).
     """
-    if (A is None) == (closure is None):
-        raise ValueError("provide either sampled A with grid, or a closure")
-
-    if closure is not None:
-        if box is None:
-            raise ValueError("closure mode requires box=(q_extent, p_extent)")
-        q_ext, p_ext = box
-        qs = _midpoints(q_ext, step)
-        ps = _midpoints(p_ext, step)
-        logger.debug(
-            "alpha_kernel_from_A closure quadrature: q box ±%.3f (%d), "
-            "p box ±%.3f (%d)",
-            q_ext,
-            qs.size,
-            p_ext,
-            ps.size,
-        )
-        samples = np.asarray(closure(qs[:, None], ps[None, :]), dtype=complex)
-        weight = (qs[1] - qs[0]) * (ps[1] - ps[0])
-
-        def a_hat(b, c):
-            eq = np.exp(1j * b[..., None] * qs)
-            t = eq @ samples
-            return np.sum(t * np.exp(1j * c[..., None] * ps), axis=-1) * weight
-
-        def fn(q1, p1, q2, p2):
-            q1, p1, q2, p2 = np.broadcast_arrays(
-                *map(np.asarray, (q1, p1, q2, p2))
-            )
-            phi0 = 2 * (p1 * q2 - p2 * q1)
-            hat = a_hat(2.0 * (p2 - p1), 2.0 * (q1 - q2))
-            return 1j / (2 * math.pi ** 2) * np.imag(np.exp(1j * phi0) * hat)
-
-        return AlphaKernel(fn, q_ext, p_ext)
-
     if grid is None:
-        raise ValueError("sampled mode requires the grid")
+        raise ValueError("the samples need their grid")
     if grid.n > _DENSE_N_MAX:
         raise ValueError(f"dense kernel tabulation is limited to n <= {_DENSE_N_MAX}")
     A = np.asarray(A, dtype=complex)
@@ -276,8 +224,7 @@ def alpha_kernel_from_A(
             raise ValueError(
                 f"{label} shift is not grid-aligned; gridded kernels "
                 f"evaluate only where 2·Δp is a multiple of dp={dp:.6g} and "
-                f"2·Δq a multiple of dx={dx:.6g} — rebuild from a closure "
-                "or refine the grid"
+                f"2·Δq a multiple of dx={dx:.6g} — refine the grid"
             )
         if np.max(np.abs(idx)) > m:
             raise ValueError(

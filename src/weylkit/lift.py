@@ -1,9 +1,10 @@
 """Lifting symbols to phase-space generators, and reading them back off.
 
 A real polynomial symbol A(q, p) induces a first-class derivation of the
-star product: the bracket action F ↦ {A, F} written out as a finite-order
-differential operator on the phase plane.  :func:`xi_lift` computes that
-operator exactly:
+star product: its star commutator ξ(A) = ad⋆A, F ↦ A⋆F − F⋆A = i{A, F},
+written out as a finite-order differential operator on the phase plane.
+:func:`xi_lift` computes that operator exactly, as i times the odd part of
+the star product's bidifferential series (:func:`weylkit.symbols._series`):
 
     ξ(A) = 2i Σ_{k odd} (−1)^{(k−1)/2} / (k! 2^k)
                Σ_j C(k,j) (−1)^j (∂_q^{k−j} ∂_p^j A) ∂_p^{k−j} ∂_q^j .
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffops import DiffOp
-from .rational import CRat, I, ONE
-from .symbols import NCPoly, PolySymbol, format_symbol, weyl_symbol
+from .rational import CRat, I
+from .symbols import NCPoly, PolySymbol, _bracket_weight, _series, format_symbol, weyl_symbol
 
 __all__ = [
     "xi_lift",
@@ -56,25 +57,6 @@ LINE_VARS = ("x",)
 # ----------------------------------------------------------------------
 
 
-def _xi_complex(A: PolySymbol) -> DiffOp:
-    """Linear extension of the lift to complex symbols (internal)."""
-    terms: dict = {}
-    kmax = A.degree()
-    for k in range(1, max(kmax, 0) + 1, 2):
-        sign = 1 if (k - 1) // 2 % 2 == 0 else -1
-        outer = I * CRat(Fraction(2 * sign, math.factorial(k) * 2 ** k))
-        for j in range(k + 1):
-            piece = A.diff(dq=k - j, dp=j)
-            if piece.is_zero():
-                continue
-            inner = outer * CRat(math.comb(k, j) * (-1) ** j)
-            der = (j, k - j)  # ∂_q^j ∂_p^{k−j}
-            for (m, n), c in piece.terms.items():
-                key = ((m, n), der)
-                terms[key] = terms.get(key, CRat(0)) + c * inner
-    return DiffOp(PHASE_VARS, terms)
-
-
 def xi_lift(A: PolySymbol) -> DiffOp:
     """Phase-space generator of the bracket action of a real symbol A.
 
@@ -85,7 +67,7 @@ def xi_lift(A: PolySymbol) -> DiffOp:
     """
     if not A.is_real():
         raise ValueError("xi_lift requires a real symbol")
-    return _xi_complex(A)
+    return DiffOp(PHASE_VARS, _series(A, lambda k: I * _bracket_weight(k)))
 
 
 def xi_monomial(m: int, n: int) -> DiffOp:

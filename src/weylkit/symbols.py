@@ -20,9 +20,12 @@ The maps between the algebras are the symmetric (Weyl) correspondence:
 ``weyl_symbol`` sends an operator polynomial to its symbol and
 ``weyl_quantize`` inverts it; both are the one shift :func:`_symmetric_shift`
 with opposite parameters ±i/2.  On symbols the operator product transports
-to the star product, computed here as a terminating bidifferential series
-(``star_symbolic``), and the commutator transports to the Groenewold-Moyal
-bracket (``moyal_symbolic``).
+to the star product (``star_symbolic``) and the commutator to the
+Groenewold-Moyal bracket (``moyal_symbolic``).  Both are one terminating
+bidifferential series Σ_k w_k J^k_A, built by :func:`_series` and applied
+by :func:`_apply`: w_k = i^k/k! for the star product, 2(−1)^{(k−1)/2}/k!
+on odd k for the bracket.  The lift ξ(A) (:mod:`weylkit.lift`) is i times
+the bracket series.
 
 All identities in this module are exact; nothing here is floating point.
 The functions compute each result one way and do not re-verify it; the
@@ -304,12 +307,6 @@ class PolySymbol(_TermMap):
     def without_constant(self) -> "PolySymbol":
         return self._new({k: c for k, c in self.terms.items() if k != (0, 0)})
 
-    def swap_covariant(self) -> "PolySymbol":
-        """The substitution q -> p, p -> -q pushed through the term map."""
-        return self._new(
-            {(n, m): c if n % 2 == 0 else -c for (m, n), c in self.terms.items()}
-        )
-
     def evaluate(self, q, p):
         """Evaluate numerically (q, p may be numpy arrays)."""
         total = 0
@@ -500,21 +497,41 @@ def weyl_quantize(A: PolySymbol) -> NCPoly:
 # ----------------------------------------------------------------------
 
 
-def _j_power(A: PolySymbol, B: PolySymbol, k: int) -> PolySymbol:
-    """The k-th bidifferential power:
+def _bracket_weight(k: int) -> CRat:
+    """2 (−1)^{(k−1)/2} / k! for odd k, else 0: the weights of the bracket."""
+    return CRat(2 * (-1) ** (k // 2)) / math.factorial(k) if k % 2 else CRat(0)
 
-    A J^k B = 2^{−k} Σ_j C(k,j) (−1)^j (∂_q^{k−j} ∂_p^j A)(∂_p^{k−j} ∂_q^j B).
+
+def _series(A: PolySymbol, weights) -> dict:
+    """Σ_k weights(k)·J^k_A, the operator B ↦ Σ_k weights(k)·A J^k B, where
+
+        A J^k B = 2^{−k} Σ_j C(k,j) (−1)^j (∂_q^{k−j} ∂_p^j A)(∂_q^j ∂_p^{k−j} B),
+
+    as a term map ((m, n), (j, k − j)) -> coefficient of q^m p^n ∂_q^j ∂_p^{k−j}.
+    k runs up to deg A; a zero weight skips its k.
     """
-    out = PolySymbol.zero()
-    for j in range(k + 1):
-        left = A.diff(dq=k - j, dp=j)
-        if left.is_zero():
+    terms: dict = {}
+    for k in range(A.degree() + 1):
+        w = weights(k)
+        if not w:
             continue
-        right = B.diff(dq=j, dp=k - j)
-        if right.is_zero():
-            continue
-        out = out + left * right * (-math.comb(k, j) if j % 2 else math.comb(k, j))
-    return out * (ONE / 2 ** k)
+        for j in range(k + 1):
+            c = w * Fraction(-math.comb(k, j) if j % 2 else math.comb(k, j), 2 ** k)
+            for mn, a in A.diff(dq=k - j, dp=j).terms.items():
+                terms[mn, (j, k - j)] = a * c
+    return terms
+
+
+def _apply(terms: dict, B: PolySymbol) -> PolySymbol:
+    """Apply an operator term map ((m, n), (dq, dp)) -> c to a symbol B."""
+    out: dict = {}
+    diffs: dict = {}
+    for ((m, n), der), c in terms.items():
+        if der not in diffs:
+            diffs[der] = B.diff(*der).terms
+        for (a, b), cb in diffs[der].items():
+            _accumulate(out, (a + m, b + n), c * cb)
+    return B._new(out)
 
 
 def star_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
@@ -524,10 +541,7 @@ def star_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
     agreement with the right-acting series Σ_k ((−i)^k / k!) B J^k A is a
     test invariant, not checked here.
     """
-    out = PolySymbol.zero()
-    for k in range(max(A.degree() + B.degree(), 0) + 1):
-        out = out + _j_power(A, B, k) * (ONE.turn(k) / math.factorial(k))
-    return out
+    return _apply(_series(A, lambda k: ONE.turn(k) / math.factorial(k)), B)
 
 
 def moyal_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
@@ -538,12 +552,7 @@ def moyal_symbolic(A: PolySymbol, B: PolySymbol) -> PolySymbol:
     For real A, B the bracket is real; its leading term is the Poisson
     bracket.
     """
-    kmax = A.degree() + B.degree()
-    out = PolySymbol.zero()
-    for k in range(1, max(kmax, 0) + 1, 2):
-        sign = 1 if (k - 1) // 2 % 2 == 0 else -1
-        out = out + _j_power(A, B, k) * (CRat(2 * sign) / math.factorial(k))
-    return out
+    return _apply(_series(A, _bracket_weight), B)
 
 
 def poisson_bracket(A: PolySymbol, B: PolySymbol) -> PolySymbol:

@@ -241,11 +241,15 @@ def _read_csv(fh, kind: str) -> tuple:
 
 def _to_json(data: np.ndarray, grid: GridSpec, kind: str) -> dict:
     data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
+    if np.iscomplexobj(data):
+        im = data.imag.tolist()
+    else:  # exact zeros: rows that share one list, not a float object per entry
+        im = functools.reduce(lambda row, size: [row] * size, reversed(data.shape), 0.0)
     return {
         "grid": {"n": grid.n, "dx": grid.dx},
         "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(kind, grid).items()},
         "re": data.real.tolist(),
-        "im": data.imag.tolist(),
+        "im": im,
     }
 
 

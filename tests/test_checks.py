@@ -69,6 +69,15 @@ def test_grid_override_is_recorded_and_respected():
     assert report["passed"]
 
 
+@pytest.mark.parametrize("dx", [4.0, 8.0])
+def test_parseval_holds_on_wide_grids(dx):
+    # the residual is relative to dx²·‖K1‖·‖K2‖, so a wide grid passes
+    report = run_suite("wigner", seed=0, grid=GridSpec(64, dx))
+    (inv,) = [i for i in report["invariants"] if i["name"].startswith("inner products")]
+    assert inv["tolerance"] == 1e-12
+    assert inv["passed"], inv
+
+
 def test_coarse_grids_fail_honestly():
     # a grid whose Gaussian tails exceed the tolerance must report failure
     # rather than pass silently

@@ -145,15 +145,6 @@ def test_apply_to_symbol():
         DiffOp.identity(X).apply_to_symbol(A)
 
 
-def test_from_symbol_coefficient():
-    A = PolySymbol.monomial(2, 0) - PolySymbol.monomial(0, 1, I)
-    op = DiffOp.from_symbol_coefficient(PHASE_VARS, A, (0, 1))
-    assert op.coefficient((2, 0), (0, 1)) == ONE
-    assert op.coefficient((0, 1), (0, 1)) == -I
-    with pytest.raises(ValueError):
-        DiffOp.from_symbol_coefficient(X, A, (1,))
-
-
 def test_pretty_output():
     op = mult_x(2).compose(deriv_x()) - DiffOp.constant(X, CRat(Fraction(1, 2)))
     text = op.pretty()

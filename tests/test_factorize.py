@@ -90,17 +90,6 @@ def test_recovery_gate_refuses_inconsistent_kernels():
     assert values.shape == (1,)
 
 
-def test_kernel_from_closure_matches_closed_form():
-    spec = GaussianAlphaSpec(tau=1.0, sigma=1.0)
-    built = alpha_kernel_from_A(
-        closure=spec.a_tilde, box=(5.5, 5.5), step=0.1
-    )
-    direct = spec.alpha_kernel()
-    rng = np.random.default_rng(47)
-    pts = rng.uniform(-1.0, 1.0, size=(15, 4))
-    assert np.max(np.abs(built(*pts.T) - direct(*pts.T))) < 1e-6
-
-
 def test_kernel_from_grid_samples_matches_closed_form():
     spec = GaussianAlphaSpec(tau=1.0, sigma=1.0)
     n = 32
@@ -134,12 +123,6 @@ def test_kernel_builder_argument_validation():
     spec = GaussianAlphaSpec(tau=1.0, sigma=1.0)
     grid = GridSpec(16, 0.4)
     samples = spec.a_function(grid.q_matrix(), grid.p_matrix())
-    with pytest.raises(ValueError):
-        alpha_kernel_from_A()
-    with pytest.raises(ValueError):
-        alpha_kernel_from_A(samples, grid, closure=spec.a_tilde, box=(5, 5))
-    with pytest.raises(ValueError):
-        alpha_kernel_from_A(closure=spec.a_tilde)
     with pytest.raises(ValueError):
         alpha_kernel_from_A(samples, None)
     with pytest.raises(ValueError):

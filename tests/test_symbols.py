@@ -24,8 +24,8 @@ from weylkit import (
     star_symbolic,
     weyl_quantize,
     weyl_symbol,
+    xi_lift,
 )
-from weylkit.symbols import _j_power
 
 Q = PolySymbol.q()
 P = PolySymbol.p()
@@ -82,13 +82,6 @@ def test_polysymbol_basics():
     assert A.evaluate(2.0, 3.0) == 12 - 0.5j
     assert not A.is_real() and (Q * P).is_real()
     assert A.conjugate() == Q**2 * P + PolySymbol.constant(CRat(0, Fraction(1, 2)))
-
-
-def test_polysymbol_swap_covariant():
-    # the substitution q -> p, p -> -q
-    A = Q**2 * P + 3 * Q
-    assert A.swap_covariant() == -(P**2 * Q) + 3 * P
-    assert A.swap_covariant().swap_covariant().swap_covariant().swap_covariant() == A
 
 
 @given(symbols(), symbols(), symbols())
@@ -251,9 +244,12 @@ def test_star_left_series_matches_right_acting_series():
         B = _seeded_symbol(rng, 6)
         right = PolySymbol.zero()
         for k in range(max(A.degree() + B.degree(), 0) + 1):
-            right = right + _j_power(B, A, k) * ((-I) ** k) * Fraction(
-                1, math.factorial(k)
-            )
+            # B J^k A = 2^{−k} Σ_j C(k,j) (−1)^j (∂_q^{k−j} ∂_p^j B)(∂_q^j ∂_p^{k−j} A)
+            for j in range(k + 1):
+                term = B.diff(dq=k - j, dp=j) * A.diff(dq=j, dp=k - j)
+                right = right + term * ((-I) ** k) * Fraction(
+                    (-1) ** j * math.comb(k, j), 2**k * math.factorial(k)
+                )
         assert star_symbolic(A, B) == right
 
 
@@ -279,6 +275,14 @@ def test_star_matches_operator_product(a, b):
 def test_bracket_is_rescaled_star_commutator(a, b):
     commutator = star_symbolic(a, b) - star_symbolic(b, a)
     assert moyal_symbolic(a, b) == commutator * (-I)
+
+
+@given(symbols(4, real=True), symbols(4))
+def test_lift_applied_is_the_star_commutator(a, b):
+    # ξ(A) = ad⋆A: the lift of a real symbol acts as A⋆B − B⋆A = i{A, B}
+    commutator = star_symbolic(a, b) - star_symbolic(b, a)
+    assert xi_lift(a).apply_to_symbol(b) == commutator
+    assert commutator == I * moyal_symbolic(a, b)
 
 
 @given(symbols(4, real=True), symbols(4, real=True))

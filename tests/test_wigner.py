@@ -350,6 +350,21 @@ def test_phase_csv_is_written_a_row_at_a_time(tmp_path):
         assert np.array_equal(read_phase_csv(fh)[0], A)
 
 
+def test_real_json_im_is_shared_zero_rows():
+    # a real array's im rows share one list of exact zeros; the text is
+    # that of its complex upcast
+    grid = GridSpec(256, math.sqrt(math.pi / 256))
+    W = wigner_of_state(hermite_basis(grid, 3)[2], grid)
+    tracemalloc.start()
+    try:
+        payload = phase_to_json(W, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    assert json.dumps(payload) == json.dumps(phase_to_json(W.astype(complex), grid))
+
+
 def test_json_round_trips_are_exact():
     rng = np.random.default_rng(25)
     grid = GridSpec(8, 0.5)
