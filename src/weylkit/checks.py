@@ -136,14 +136,20 @@ def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
         K1 = _random_kernel(rng, grid)
         K2 = _random_kernel(rng, grid)
         A1 = weyl_wigner(K1, grid)
+        # the entries of W(K) grow with dx: phase-side residuals are relative
+        a_scale = _maxabs(A1)
         round_k = max(round_k, _maxabs(weyl_wigner_inv(A1, grid) - K1))
-        round_p = max(round_p, _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1))
+        round_p = max(
+            round_p, _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1) / a_scale
+        )
         lhs = inner_k(A1, weyl_wigner(K2, grid), grid)
         rhs = grid.dx**2 * np.vdot(K1, K2)
         # relative to the Cauchy-Schwarz bound: both sides grow as dx²·n
         scale = grid.dx**2 * np.linalg.norm(K1) * np.linalg.norm(K2)
         parseval = max(parseval, abs(lhs - rhs) / scale)
-        transpose = max(transpose, _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)))
+        transpose = max(
+            transpose, _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)) / a_scale
+        )
 
     F = weyl_wigner(_random_kernel(rng, grid), grid)
     involution = _maxabs(parity(parity(F, grid), grid) - F)

@@ -309,21 +309,29 @@ def _parse_state(spec: str, grid: GridSpec, r_max: int) -> np.ndarray:
                 coeff = complex(coeff_text.strip())
             except ValueError:
                 raise UsageError(f"bad coefficient {coeff_text!r} in state")
+            if not np.isfinite(coeff):
+                raise UsageError(f"coefficient of term {term!r} is not finite")
         else:
             coeff, name = 1.0, term
         terms.append((sign * coeff, _basis_index(name.strip(), r_max)))
     # rows only up to the highest referenced index, however large r_max is
     basis = hermite_basis(grid, max((k for _, k in terms), default=0) + 1)
     psi = np.zeros(grid.n, dtype=complex)
-    for coeff, k in terms:
-        psi = psi + coeff * basis[k]
+    with np.errstate(over="ignore"):  # shows as a non-finite norm
+        for coeff, k in terms:
+            psi = psi + coeff * basis[k]
     return psi
 
 
 def cmd_wigner(args, config: RunConfig, explicit) -> int:
     grid = _grid(config)
     psi = _parse_state(args.state, grid, config.r_max)
-    norm = float(np.sqrt(grid.dx) * np.linalg.norm(psi))
+    with np.errstate(over="ignore"):  # checked just below
+        norm = float(np.sqrt(grid.dx) * np.linalg.norm(psi))
+    if not np.isfinite(norm):
+        raise UsageError(
+            "the state's norm is not finite: its coefficients or samples are too large"
+        )
     if norm == 0.0:
         raise UsageError("state is identically zero")
     psi = psi / norm  # unit norm: dx * sum |psi|^2 = 1

@@ -69,13 +69,15 @@ def test_grid_override_is_recorded_and_respected():
     assert report["passed"]
 
 
-@pytest.mark.parametrize("dx", [4.0, 8.0])
+@pytest.mark.parametrize("dx", [4.0, 8.0, 64.0, 128.0])
 def test_parseval_holds_on_wide_grids(dx):
-    # the residual is relative to dx²·‖K1‖·‖K2‖, so a wide grid passes
+    # the residual is relative to dx²·‖K1‖·‖K2‖, so a wide grid passes;
+    # so do the phase round trip and parity, relative to max |W(K1)|
     report = run_suite("wigner", seed=0, grid=GridSpec(64, dx))
-    (inv,) = [i for i in report["invariants"] if i["name"].startswith("inner products")]
-    assert inv["tolerance"] == 1e-12
-    assert inv["passed"], inv
+    for prefix in ("inner products", "phase round trip", "parity matches"):
+        (inv,) = [i for i in report["invariants"] if i["name"].startswith(prefix)]
+        assert inv["tolerance"] == 1e-12
+        assert inv["passed"], inv
 
 
 def test_coarse_grids_fail_honestly():

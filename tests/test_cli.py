@@ -405,12 +405,29 @@ def test_wigner_state_file_csv_lines(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "state",
-    ["hermite:99", "hermite:-1", "hermite:x", "0*hermite:0", "nonsense:3"],
+    [
+        "hermite:99",
+        "hermite:-1",
+        "hermite:x",
+        "0*hermite:0",
+        "nonsense:3",
+        "nan*hermite:0",
+        "inf*hermite:0",
+        "1e400*hermite:0",
+        "1e300*hermite:0+1e300*hermite:1",
+        "1e308*hermite:0+1e308*hermite:0+1e308*hermite:0",
+        "file:{huge}",
+    ],
 )
-def test_wigner_bad_states(capsys, state):
-    code, _, err = run(capsys, "wigner", state)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wigner_bad_states(tmp_path, capsys, state):
+    # bad coefficients and overflowing norms are the state's fault, not the grid's
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"re": [1e200] * 64}))
+    code, _, err = run(capsys, "wigner", state.format(huge=huge))
     assert code == 2
     assert "error:" in err
+    assert "grid spacing" not in err
 
 
 def test_wigner_builds_only_the_referenced_basis_rows(tmp_path, monkeypatch, capsys):

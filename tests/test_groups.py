@@ -25,11 +25,14 @@ from weylkit import (
     hw_cocycle,
     hw_factorize,
     hw_generators,
+    parity,
     position_representation,
     sp2_generators,
     sp2_symbols,
     time_reversal_check,
     tower_factorization,
+    weyl_wigner,
+    weyl_wigner_inv,
     wigner_of_state,
     xi_lift,
 )
@@ -207,18 +210,18 @@ def test_galilei_generator_relations():
         assert a1.commutator(a3).is_zero()
 
 
-def test_galilei_pure_translations_match_hw_action():
-    # with no time step the point map is F(q − a3, p + m·a2): exactly the
-    # translation action with (a1, a2) -> (−a3, −m·a2); both are rolls
+def test_galilei_lattice_translations_are_kernel_shifts():
+    # with no time step and lattice-aligned shifts the action is still the
+    # sandwich K -> U K U†, with U = S·D: S the cyclic shift by a3/dx and
+    # D = diag(e^{−i·m·a2·x}) the momentum kick
     grid = GridSpec(32, 0.25)
     rng = np.random.default_rng(51)
-    from weylkit import weyl_wigner
-
     K = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    F = weyl_wigner(K, grid)
     g = GalileiElement(0.0, 2 * grid.dp, 3 * grid.dx, m=1.0)
-    expected = hw_action(HWElement(-g.a3, -g.m * g.a2), F, grid)
-    assert np.array_equal(galilei_action(g, F, grid), expected)
+    U = np.roll(np.eye(32), 3, axis=0) @ np.diag(np.exp(-1j * g.m * g.a2 * grid.x))
+    expected = weyl_wigner(U @ K @ U.conj().T, grid)
+    moved = galilei_action(g, weyl_wigner(K, grid), grid)
+    assert np.max(np.abs(moved - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_galilei_shear_matches_free_packet_evolution():
@@ -242,6 +245,77 @@ def test_galilei_shear_matches_free_packet_evolution():
         GalileiElement(t, 0.0, 0.0), wigner_of_state(psi0, grid), grid
     )
     assert np.max(np.abs(sheared - wigner_of_state(psi_t, grid))) < 1e-9
+
+
+def _realigned_ratios(T, grid):
+    """σ₂/σ₁ of the kernel map of a phase-space map T, realigned two ways.
+
+    M[i, j, k, l] is entry (i, j) of Winv(T(W(E_kl))) for the basis
+    kernels E_kl.  A Weyl–Wigner product K -> U K U† has
+    M = U[i, k]·conj(U[j, l]), of rank one with rows (i, k) and columns
+    (j, l); an antiunitary K -> U Kᵀ U† has M = U[i, l]·conj(U[j, k]), of
+    rank one with rows (i, l) and columns (j, k) (Van Loan & Pitsianis).
+    Returns the (unitary, antiunitary) ratios.
+    """
+    n = grid.n
+    M = np.empty((n, n, n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            E = np.zeros((n, n), dtype=complex)
+            E[k, l] = 1.0
+            M[:, :, k, l] = weyl_wigner_inv(T(weyl_wigner(E, grid)), grid)
+
+    def ratio(R):
+        s = np.linalg.svd(R.reshape(n * n, n * n), compute_uv=False)
+        return s[1] / s[0]
+
+    return ratio(M.transpose(0, 2, 1, 3)), ratio(M.transpose(0, 3, 1, 2))
+
+
+_REALIGN_GRID = GridSpec(16, 0.4)
+
+
+@pytest.mark.parametrize(
+    "a1, a2_steps, a3_steps",
+    [(0.4, 0, 0), (0.0, 0, 2), (0.0, 1, 0), (0.0, 2, 3)],
+    ids=["shear", "shift", "boost", "shift-and-boost"],
+)
+def test_galilei_action_is_a_weyl_wigner_product(a1, a2_steps, a3_steps):
+    grid = _REALIGN_GRID
+    g = GalileiElement(a1, a2_steps * grid.dp, a3_steps * grid.dx)
+    unitary, _ = _realigned_ratios(lambda F: galilei_action(g, F, grid), grid)
+    assert unitary <= 1e-12
+
+
+def test_galilei_action_is_continuous_at_zero_time_step():
+    grid = GridSpec(32, 0.25)
+    rng = np.random.default_rng(52)
+    K = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    F = weyl_wigner(K, grid)
+    at_zero = galilei_action(GalileiElement(0.0, 2 * grid.dp, 3 * grid.dx), F, grid)
+    near_zero = galilei_action(
+        GalileiElement(1e-12, 2 * grid.dp, 3 * grid.dx), F, grid
+    )
+    assert np.max(np.abs(at_zero - near_zero)) <= 1e-8
+
+
+@pytest.mark.parametrize("a1_steps, a2_steps", [(2, 0), (0, 1)], ids=["q", "p"])
+def test_hw_action_is_not_a_weyl_wigner_product(a1_steps, a2_steps):
+    # the torus roll is a real unitary representation on the finite grid
+    # that factorises under neither realignment
+    grid = _REALIGN_GRID
+    g = HWElement(a1_steps * grid.dx, a2_steps * grid.dp)
+    ratios = _realigned_ratios(lambda F: hw_action(g, F, grid), grid)
+    assert min(ratios) > 0.05
+
+
+def test_parity_factorises_antiunitarily():
+    # momentum reversal is K -> Kᵀ: the conjugation of criterion 11,
+    # found from the phase-space map alone
+    grid = _REALIGN_GRID
+    unitary, antiunitary = _realigned_ratios(lambda F: parity(F, grid), grid)
+    assert antiunitary <= 1e-12
+    assert unitary > 0.05
 
 
 def test_galilei_action_validation():
