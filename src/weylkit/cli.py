@@ -269,7 +269,8 @@ def _load_state_file(path: str, n: int) -> np.ndarray:
             im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
             if im.shape != re.shape:  # one would broadcast over the other
                 raise UsageError(f"state file {path!r}: im has shape {im.shape}, re {re.shape}")
-            psi = re + 1j * im
+            psi = np.empty(re.shape, dtype=complex)  # 1j * inf would put a NaN in .real
+            psi.real, psi.imag = re, im
         else:
             rows = [ln for ln in text.splitlines() if ln.strip()]
             psi = np.array(
@@ -328,6 +329,12 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
     psi = _parse_state(args.state, grid, config.r_max)
     with np.errstate(over="ignore"):  # checked just below
         norm = float(np.sqrt(grid.dx) * np.linalg.norm(psi))
+    peak = 1.0
+    if norm == 0.0 and psi.any():  # the squares of tiny samples underflow
+        # by parts: a complex divide by a subnormal peak overflows
+        peak = float(np.max(np.abs(psi)))
+        psi = psi.real / peak + 1j * (psi.imag / peak)
+        norm = float(np.sqrt(grid.dx) * np.linalg.norm(psi))
     if not np.isfinite(norm):
         raise UsageError(
             "the state's norm is not finite: its coefficients or samples are too large"
@@ -345,7 +352,7 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
         config,
         {
             "state": args.state,
-            "input_norm": norm,
+            "input_norm": norm * peak,
             "normalized": True,
             "purity": {"idempotency": r1, "integrals": r2},
             "w_at_origin": float(W[grid.n, grid.n // 2].real),

@@ -35,7 +35,6 @@ from .symbols import NCPoly, PolySymbol, _bracket_weight, _series, format_symbol
 
 __all__ = [
     "xi_lift",
-    "xi_monomial",
     "z_conjugate",
     "SplitResult",
     "split_test",

@@ -267,7 +267,9 @@ def _from_json(payload, kind: str) -> tuple:
         raise ValueError(f"malformed array payload: {exc!r}") from exc
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"re and im must each have shape {shape}")
-    return re + 1j * im, grid
+    data = np.empty(shape, dtype=complex)  # 1j * inf would put a NaN in .real
+    data.real, data.imag = re, im
+    return data, grid
 
 
 def write_phase_csv(fh, A: np.ndarray, grid: GridSpec):

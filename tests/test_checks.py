@@ -173,6 +173,25 @@ def test_reps_relations_checked_are_pinned():
     assert got == REPS_RELATIONS
 
 
+def test_tol_decides_the_galilei_ray_check(monkeypatch):
+    import weylkit.groups
+
+    monkeypatch.setattr(weylkit.groups, "_galilei_momentum_residual", lambda m, grid: 5e-6)
+
+    def ray_check(**kwargs):
+        report = run_suite("reps", seed=0, **kwargs)
+        (found,) = [
+            inv for inv in report["invariants"]
+            if inv["name"] == "galilei (m=1): all relations hold"
+        ]
+        return found
+
+    strict = ray_check()
+    assert not strict["passed"]
+    assert strict["residual"] == 5e-6 and strict["tolerance"] == 1e-6
+    assert ray_check(tol=1e-5)["passed"]
+
+
 def test_exclusion_registry():
     assert len(EXCLUSIONS) == 1
     entry = EXCLUSIONS[0]

@@ -28,6 +28,7 @@ from weylkit.cli import (
     canonical_json,
     main,
 )
+from weylkit.wigner import phase_from_json
 
 
 def run(capsys, *args):
@@ -430,6 +431,26 @@ def test_wigner_bad_states(tmp_path, capsys, state):
     assert "grid spacing" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wigner_tiny_states_are_not_zero(tmp_path, capsys):
+    # the squares of 1e-170 underflow: the plain norm reads 0
+    def wigner_array(state):
+        out_dir = tmp_path / state
+        code, out, _ = run(capsys, "wigner", state, "--out", str(out_dir))
+        assert code == 0
+        return json.loads(out), phase_from_json(read_json(out_dir / "wigner.json"))[0]
+
+    _, ground = wigner_array("hermite:0")
+    report, tiny = wigner_array("1e-170*hermite:0")
+    assert report["input_norm"] == pytest.approx(1e-170, rel=1e-12)
+    assert np.max(np.abs(tiny - ground)) <= 1e-12 * np.max(np.abs(ground))
+    # subnormal samples: fewer bits, but a state all the same
+    report, _ = wigner_array("1e-320*hermite:0")
+    assert report["w_at_origin"] == pytest.approx(1 / math.pi, rel=1e-2)
+    code, _, err = run(capsys, "wigner", "0*hermite:0", "--out", str(tmp_path / "zero"))
+    assert code == 2 and "identically zero" in err
+
+
 def test_wigner_builds_only_the_referenced_basis_rows(tmp_path, monkeypatch, capsys):
     import weylkit.cli
 
@@ -484,8 +505,13 @@ def test_wigner_state_file_parts_must_each_hold_n_samples(tmp_path, capsys, cont
 
 @pytest.mark.parametrize(
     "name,content",
-    [("nan.json", '{"re": [1.0, NaN, 0.0, 0.0]}'), ("inf.csv", "1.0\ninf,0\n0\n0\n")],
+    [
+        ("nan.json", '{"re": [1.0, NaN, 0.0, 0.0]}'),
+        ("inf.csv", "1.0\ninf,0\n0\n0\n"),
+        ("inf-im.json", '{"re": [1.0, 0.0, 0.0, 0.0], "im": [1e400, 0.0, 0.0, 0.0]}'),
+    ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wigner_non_finite_state_file(tmp_path, capsys, name, content):
     state = tmp_path / name
     state.write_text(content)
@@ -493,7 +519,7 @@ def test_wigner_non_finite_state_file(tmp_path, capsys, name, content):
     code, out, err = run(
         capsys, "wigner", f"file:{state}", "--grid-n", "4", "--out", str(out_dir)
     )
-    assert code == 2 and "error:" in err and not out
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and not out
     assert not out_dir.exists()
 
 

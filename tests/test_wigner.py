@@ -377,6 +377,23 @@ def test_json_round_trips_are_exact():
     assert np.array_equal(A2, A)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_json_reader_keeps_an_infinite_im_as_the_csv_reader_does():
+    grid = GridSpec(4, 0.5)
+    K = np.ones(grid.kernel_shape, dtype=complex)
+    K[0, 0] = complex(1.0, math.inf)
+    payload = kernel_to_json(K, grid)
+    assert payload["im"][0][0] == math.inf
+    from_json, _ = kernel_from_json(json.dumps(payload))
+    buf = io.StringIO()
+    write_kernel_csv(buf, K, grid)
+    buf.seek(0)
+    from_csv, _ = read_kernel_csv(buf)
+    assert from_json[0, 0].real == 1.0 and from_json[0, 0].imag == math.inf
+    assert np.array_equal(from_json, from_csv)
+    assert np.array_equal(from_json, K)
+
+
 def test_json_shape_and_axes_validation():
     grid = GridSpec(8, 0.5)
     payload = phase_to_json(np.zeros(grid.phase_shape), grid)
