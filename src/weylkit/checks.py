@@ -467,13 +467,9 @@ def _run_reps(seed: int, tol, grid) -> dict:
             invariants.append(_exact(f"{label}: failed to build: {exc}", False))
             return None
         examples.append(report)
-        invariants.append(
-            _numeric(
-                f"{label}: all relations hold",
-                report["max_residual"],
-                tol if tol is not None else tolerance,
-            )
-        )
+        # ``tol`` overrides only the inexact examples: an exact one stays at 0.0
+        limit = tol if tol is not None and tolerance else tolerance
+        invariants.append(_numeric(f"{label}: all relations hold", report["max_residual"], limit))
         return report
 
     hw1 = add("heisenberg_weyl (hbar=1)", lambda: hw_factorize(1).report(), 0.0)

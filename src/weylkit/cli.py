@@ -36,10 +36,11 @@ from .factorize import (
 from .grids import GridSpec, hermite_basis
 from .star import purity_residual, star
 from .wigner import (
-    phase_to_json,
+    _CANONICAL,
     weyl_wigner,
     wigner_of_state,
     write_phase_csv,
+    write_phase_json,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -158,9 +159,6 @@ def _grid(config: RunConfig) -> GridSpec:
 # ----------------------------------------------------------------------
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def canonical_json(report: dict) -> str:
     return _CANONICAL.encode(report)
 
@@ -206,16 +204,8 @@ def _emit_report(name: str, report: dict, config: RunConfig) -> None:
 
 def _write_phase_array(stem: str, A, grid: GridSpec, config: RunConfig) -> str:
     name = f"{stem}.{config.format}"
-    path = _out_dir(config) / name
-    if config.format == "csv":
-        with open(path, "w") as fh:
-            write_phase_csv(fh, A, grid)
-    else:
-        # the chunks of canonical_json, written without first joining them
-        # into one string: that copy would set the command's peak memory
-        with open(path, "w") as fh:
-            fh.writelines(_CANONICAL.iterencode(phase_to_json(A, grid), _one_shot=True))
-            fh.write("\n")
+    with open(_out_dir(config) / name, "w") as fh:
+        (write_phase_csv if config.format == "csv" else write_phase_json)(fh, A, grid)
     return name
 
 

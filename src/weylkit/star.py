@@ -92,7 +92,9 @@ def _compose(factors: tuple, form, dx: float) -> np.ndarray:
     """form(*factors) · dx, computed on power-of-two scaled factors.
 
     ``factors`` holds one or two fresh C-contiguous complex kernels; they
-    are scaled in place.  ``form`` is a sum of matrix products each taking
+    are scaled in place.  Callers pass them straight in, bound to no name
+    of their own, so that they are freed before the product's forward
+    transform.  ``form`` is a sum of matrix products each taking
     one copy of every factor, or two copies of a lone factor (K @ K,
     K @ K.conj().T).  See the module docstring for why the result equals
     the plain ``form(*factors) * dx`` bit for bit in the normal range.
@@ -125,9 +127,8 @@ def _compose(factors: tuple, form, dx: float) -> np.ndarray:
 
 def star(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Star product via kernel composition (exactly associative)."""
-    KA = weyl_wigner_inv(A, grid)
-    KB = weyl_wigner_inv(B, grid)
-    return weyl_wigner(_compose((KA, KB), np.matmul, grid.dx), grid)
+    product = _compose((weyl_wigner_inv(A, grid), weyl_wigner_inv(B, grid)), np.matmul, grid.dx)
+    return weyl_wigner(product, grid)
 
 
 def _fourier_lattice(B: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -199,9 +200,9 @@ def moyal_bracket(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Formed in kernel space as −i · transform((K_A K_B − K_B K_A) · dx).
     """
-    KA = weyl_wigner_inv(A, grid)
-    KB = weyl_wigner_inv(B, grid)
-    bracket = _compose((KA, KB), lambda a, b: a @ b - b @ a, grid.dx)
+    bracket = _compose(
+        (weyl_wigner_inv(A, grid), weyl_wigner_inv(B, grid)), lambda a, b: a @ b - b @ a, grid.dx
+    )
     return -1j * weyl_wigner(bracket, grid)
 
 
@@ -215,7 +216,8 @@ def identity_phase(grid: GridSpec) -> np.ndarray:
 def star_adjoint(A: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Phase function of the adjoint kernel; complex conjugation in disguise."""
     K = weyl_wigner_inv(A, grid)
-    return weyl_wigner(K.conj().T, grid)
+    np.conjugate(K, out=K)
+    return weyl_wigner(K.T, grid)
 
 
 def _sum(a: np.ndarray):
@@ -235,8 +237,8 @@ def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
     both ~0 exactly when W is the Wigner function of a unit-norm state.
     """
     W = np.asarray(W)
-    K = weyl_wigner_inv(W, grid)
-    square = weyl_wigner(_compose((K,), lambda k: k @ k, grid.dx), grid)  # W ⋆ W
+    # W ⋆ W
+    square = weyl_wigner(_compose((weyl_wigner_inv(W, grid),), lambda k: k @ k, grid.dx), grid)
     square -= W * (1 / (2 * math.pi))  # the bits of a complex W's division, for a real W too
     r1 = float(np.max(np.abs(square)))
     cell = grid.cell
@@ -252,7 +254,8 @@ def star_unitary_residual(U: np.ndarray, grid: GridSpec) -> float:
     U† is the phase function of the conjugate-transposed kernel, so the
     product is formed in kernel space as K_U K_U† dx.
     """
-    K = weyl_wigner_inv(U, grid)
-    product = weyl_wigner(_compose((K,), lambda k: k @ k.conj().T, grid.dx), grid)
+    product = weyl_wigner(
+        _compose((weyl_wigner_inv(U, grid),), lambda k: k @ k.conj().T, grid.dx), grid
+    )
     product[0::2] -= 2.0  # minus identity_phase(grid), in place
     return float(np.max(np.abs(product)))

@@ -53,6 +53,7 @@ __all__ = [
     "wigner_of_state",
     "write_phase_csv",
     "read_phase_csv",
+    "write_phase_json",
     "write_kernel_csv",
     "read_kernel_csv",
     "phase_to_json",
@@ -119,9 +120,9 @@ def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
     rows = np.zeros((n, 2, n), dtype=complex)  # axis 1 is the parity σ
     rows.reshape(-1)[plan.scatter] = K
     rows *= plan.weight
-    A = np.fft.fft(rows, axis=2)
-    A *= plan.phase
-    return A.reshape(grid.phase_shape)
+    np.fft.fft(rows, axis=2, out=rows)
+    rows *= plan.phase
+    return rows.reshape(grid.phase_shape)
 
 
 def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -135,7 +136,8 @@ def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
     n = grid.n
     plan = _plan(grid)
-    rows = np.fft.ifft(A.reshape(n, 2, n) * plan.inv_phase, axis=2)
+    rows = A.reshape(n, 2, n) * plan.inv_phase
+    np.fft.ifft(rows, axis=2, out=rows)
     rows *= plan.inv_weight
     return rows.ravel()[plan.scatter]
 
@@ -161,8 +163,9 @@ def parity(A: np.ndarray, grid: GridSpec) -> np.ndarray:
 def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Wigner function of a pure state: transform of ψ ⊗ ψ̄ over 2π.
 
-    A real float64 array, bit for bit the real part of that quotient: the
-    kernel is Hermitian, so its imaginary part is rounding alone.  For a
+    A real float64 array that owns its data, bit for bit the real part of
+    that quotient: the kernel is Hermitian, so its imaginary part is
+    rounding alone, and a view would keep it alive.  For a
     unit-norm state Σ W · (dx/2) dp = 1 up to the Riemann error of the tails.
     """
     psi = np.asarray(psi)
@@ -170,7 +173,7 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError("state must be a 1-d array of length n")
     W = weyl_wigner(np.outer(psi, np.conj(psi)), grid)
     W /= 2 * math.pi  # in place: the bits of the out-of-place complex division
-    return W.real
+    return W.real.copy()
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +183,13 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
 # An archive states the axes of its array as ``_axes`` gives them, rows
 # first.  CSV: the header "# axes q:<2n>:<dq> p:<n>:<dp>" (a kernel's is
 # "x:<n>:<dx> y:<n>:<dx>"), then one "re,im" line per entry in row-major
-# order.  JSON: {"grid", "axes", "re", "im"}.  Floats serialize via repr
-# and so round-trip bit-exactly; a real array writes an exact 0.0 as im.
+# order.  JSON: {"grid", "axes", "re", "im"}, as canonical text: sorted
+# keys, no spaces, no NaN or inf.  Floats serialize via repr and so
+# round-trip bit-exactly; a real array writes an exact 0.0 as im.  The
+# writers work a row at a time: the text of the whole array at once would
+# set the peak memory.
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _axes(kind: str, grid: GridSpec) -> dict:
@@ -207,9 +215,12 @@ def _write_csv(fh, data: np.ndarray, grid: GridSpec, kind: str):
     axes = " ".join(f"{name}:{count}:{step!r}" for name, (count, step) in _axes(kind, grid).items())
     fh.write(f"# axes {axes}\n")
     data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
-    # a row at a time: the text of the whole array at once would set the peak memory
-    for row in data.reshape(-1, grid.n):
-        fh.write("".join(map("{!r},{!r}\n".format, row.real.tolist(), row.imag.tolist())))
+    if np.iscomplexobj(data):
+        for row in data.reshape(-1, grid.n):
+            fh.write("".join(map("{!r},{!r}\n".format, row.real.tolist(), row.imag.tolist())))
+    else:  # one join per row, with the exact 0.0 of every im as its separator
+        for row in data.reshape(-1, grid.n):
+            fh.write(",0.0\n".join(map(repr, row.tolist())) + ",0.0\n")
 
 
 def _read_csv(fh, kind: str) -> tuple:
@@ -239,18 +250,38 @@ def _read_csv(fh, kind: str) -> tuple:
     return values.view(complex).reshape(shape), grid
 
 
+def _header(grid: GridSpec, kind: str) -> dict:
+    return {
+        "grid": {"n": grid.n, "dx": grid.dx},
+        "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(kind, grid).items()},
+    }
+
+
 def _to_json(data: np.ndarray, grid: GridSpec, kind: str) -> dict:
     data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
     if np.iscomplexobj(data):
         im = data.imag.tolist()
     else:  # exact zeros: rows that share one list, not a float object per entry
         im = functools.reduce(lambda row, size: [row] * size, reversed(data.shape), 0.0)
-    return {
-        "grid": {"n": grid.n, "dx": grid.dx},
-        "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(kind, grid).items()},
-        "re": data.real.tolist(),
-        "im": im,
-    }
+    return {**_header(grid, kind), "re": data.real.tolist(), "im": im}
+
+
+def _write_json(fh, data: np.ndarray, grid: GridSpec, kind: str):
+    """The canonical text of ``_to_json(data, grid, kind)`` and a newline."""
+    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
+    encode = _CANONICAL.encode
+    if np.iscomplexobj(data):
+        im = (encode(row.tolist()) for row in data.imag)
+    else:  # exact zeros: one row of text, written for every row
+        im = itertools.repeat(encode([0.0] * data.shape[1]), data.shape[0])
+    re = (encode(row.tolist()) for row in data.real)
+    fh.write(encode(_header(grid, kind))[:-1])  # left open: sorted keys put "im" and "re" last
+    for key, rows in (("im", im), ("re", re)):
+        fh.write(f',"{key}":[')
+        for i, text in enumerate(rows):
+            fh.write("," + text if i else text)
+        fh.write("]")
+    fh.write("}\n")
 
 
 def _from_json(payload, kind: str) -> tuple:
@@ -279,6 +310,11 @@ def write_phase_csv(fh, A: np.ndarray, grid: GridSpec):
 def read_phase_csv(fh):
     """Read a phase-function CSV; returns (array, GridSpec)."""
     return _read_csv(fh, "phase")
+
+
+def write_phase_json(fh, A: np.ndarray, grid: GridSpec):
+    """Write ``phase_to_json(A, grid)`` as canonical JSON text and a newline."""
+    _write_json(fh, A, grid, "phase")
 
 
 def write_kernel_csv(fh, K: np.ndarray, grid: GridSpec):

@@ -192,6 +192,28 @@ def test_tol_decides_the_galilei_ray_check(monkeypatch):
     assert ray_check(tol=1e-5)["passed"]
 
 
+def test_tol_overrides_only_the_inexact_reps_rows():
+    def tolerances(**kwargs):
+        report = run_suite("reps", seed=0, **kwargs)
+        return {
+            inv["name"].split(":")[0]: inv["tolerance"]
+            for inv in report["invariants"] if inv["name"].endswith(": all relations hold")
+        }
+
+    exact = [
+        "heisenberg_weyl (hbar=1)", "heisenberg_weyl (hbar=2)", "heisenberg_tower (depth 4)",
+        "sp2_case_A", "sp2_case_B (a=0)", "sp2_case_B (a=1)", "sp2_case_B (a=2)",
+    ]
+    inexact = ["galilei (m=1)", "galilei (m=3)", "time_reversal"]
+    loose = tolerances(tol=1e-5)
+    assert sorted(loose) == sorted(exact + inexact)
+    assert all(loose[label] == 0.0 for label in exact)
+    assert all(loose[label] == 1e-5 for label in inexact)
+    default = tolerances()
+    assert all(default[label] == 0.0 for label in exact)
+    assert [default[label] for label in inexact] == [1e-6, 1e-6, 1e-12]
+
+
 def test_exclusion_registry():
     assert len(EXCLUSIONS) == 1
     entry = EXCLUSIONS[0]

@@ -1,6 +1,9 @@
 """The package namespace: the modules' own ``__all__`` lists, exported once."""
 
 import importlib
+from pathlib import Path
+
+import pytest
 
 import weylkit
 
@@ -56,3 +59,13 @@ def test_star_is_the_function_and_xi_monomial_stays_unexported():
     assert weylkit.star is _module("star").star
     assert "xi_monomial" not in weylkit.__all__
     assert not hasattr(weylkit, "xi_monomial")
+
+
+def test_numpy_floor_is_at_least_2_0():
+    # the transforms run their FFTs in place through ``out=``, new in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    (floor,) = [dep.split(">=")[1] for dep in dependencies if dep.startswith("numpy")]
+    assert int(floor.split(".")[0]) >= 2

@@ -13,6 +13,9 @@ from weylkit import (
     hermite_basis,
     inner_k,
     parity,
+    purity_residual,
+    star,
+    star_adjoint,
     weyl_wigner,
     weyl_wigner_inv,
     wigner_of_state,
@@ -27,7 +30,9 @@ from weylkit.wigner import (
     read_phase_csv,
     write_kernel_csv,
     write_phase_csv,
+    write_phase_json,
 )
+from weylkit.cli import canonical_json
 
 GRID = GridSpec(64, 0.25)
 
@@ -348,6 +353,72 @@ def test_phase_csv_is_written_a_row_at_a_time(tmp_path):
     assert peak < 4 << 20
     with open(tmp_path / "a.csv") as fh:
         assert np.array_equal(read_phase_csv(fh)[0], A)
+
+
+def test_real_csv_rows_are_those_of_the_complex_upcast():
+    # the real path joins each row with ",0.0\n"; the bytes are those of the
+    # general "re,im" path, on tails that reach 1e-300, subnormals and −0.0
+    grid = GridSpec(64, 1.0)
+    W = wigner_of_state(hermite_basis(grid, 1)[0], grid)
+    assert np.min(np.abs(W[W != 0])) < 2.3e-308  # the Gaussian's tails reach subnormals
+    W[-1, :4] = [-0.0, 5e-324, -2.5e-310, -1e-300]
+    real, upcast = io.StringIO(), io.StringIO()
+    write_phase_csv(real, W, grid)
+    write_phase_csv(upcast, W.astype(complex), grid)
+    assert real.getvalue() == upcast.getvalue()
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_phase_json_writer_is_the_canonical_text_of_phase_to_json(n):
+    grid = GridSpec(n, math.sqrt(math.pi / n))
+    rng = np.random.default_rng(n)
+    arrays = [
+        wigner_of_state(hermite_basis(grid, 2)[1], grid),
+        weyl_wigner(random_kernel(rng, grid), grid),
+        np.full(grid.phase_shape, -0.0),
+        np.full(grid.phase_shape, complex(-0.0, -0.0)),
+    ]
+    for A in arrays:
+        buf = io.StringIO()
+        write_phase_json(buf, A, grid)
+        assert buf.getvalue() == canonical_json(phase_to_json(A, grid)) + "\n"
+    with pytest.raises(ValueError):  # canonical text has no NaN
+        write_phase_json(io.StringIO(), np.full(grid.phase_shape, math.nan), grid)
+
+
+def test_wigner_pipeline_peaks_are_bounded(tmp_path):
+    # traced peak of each stage at n = 512, in units of one (2n, n) complex
+    # array (8 MiB): no dead full-size array is alive at a stage's peak
+    grid = GridSpec(512, math.sqrt(math.pi / 512))
+    unit = 2 * grid.n * grid.n * 16
+    psi = hermite_basis(grid, 3)[2]
+    K = np.outer(psi, psi.conj())
+    A = weyl_wigner(K, grid)
+    W = wigner_of_state(psi, grid)
+    assert W.base is None and W.flags.c_contiguous and W.dtype == np.float64
+
+    def write_json():
+        with open(tmp_path / "w.json", "w") as fh:
+            write_phase_json(fh, W, grid)
+
+    stages = [
+        (lambda: weyl_wigner(K, grid), 1.25),  # the row array, transformed in place
+        (lambda: weyl_wigner_inv(A, grid), 1.75),  # the rows and the n×n kernel
+        (lambda: wigner_of_state(psi, grid), 1.75),  # the transform and its real copy
+        (lambda: purity_residual(W, grid), 1.75),  # kernels freed before the forward transform
+        (lambda: star(A, A, grid), 2.25),
+        (lambda: star_adjoint(A, grid), 1.75),
+        (write_json, 0.05),  # a row of text at a time
+    ]
+    for stage, bound in stages:
+        stage()  # the grid's plan is cached before tracing
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * unit, (stage, peak / unit)
 
 
 def test_real_json_im_is_shared_zero_rows():
