@@ -1,13 +1,18 @@
 """Worked group representations on phase space and their factorisations.
 
 Five families of real unitary phase-space representations, each paired
-with the recovery of its Hilbert-space counterpart:
+with the recovery of its Hilbert-space counterpart.  The phase-space
+generators of every continuous family are lifts α = ξ(A) of real symbols
+A, and each Hilbert factor Â is read off the lift by the two-point split
+(``split_test(z_conjugate(α))``), except for sp(2,R), whose factors are
+the Weyl quantizations of its symbols shifted by the closure constants:
 
 * ``hw_action`` / ``hw_factorize`` — the Heisenberg-Weyl group acting by
   phase-space translations, factorising to the canonical pair q̂, p̂ with
   the central extension parameter ħ appearing only after factorisation.
 * ``gen_heisenberg_tower`` — the polynomial generalisation: generators
-  β_n of arbitrarily high degree whose factorised partners are x^n/n!.
+  β_n = ξ(qⁿ/n!) of arbitrarily high degree whose factorised partners
+  are xⁿ/n!.
 * ``galilei_action`` / ``galilei_factorize`` — the 1-d Galilei group
   (time translation, boost, space translation), factorising to the free
   Hamiltonian, boost and momentum operators with central charge ħm.
@@ -28,23 +33,15 @@ antiunitarily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, isfinite
 
 import numpy as np
 
 from .diffops import DiffOp
 from .grids import GridSpec
-from .lift import (
-    LINE_VARS,
-    PHASE_VARS,
-    _exact_positive,
-    read_off_generator,
-    split_test,
-    xi_lift,
-    z_conjugate,
-)
+from .lift import LINE_VARS, _exact_positive, split_test, xi_lift, z_conjugate
 from .rational import CRat, I
 from .symbols import NCPoly, PolySymbol, moyal_symbolic, weyl_quantize
 from .wigner import parity, weyl_wigner, weyl_wigner_inv
@@ -100,6 +97,18 @@ def position_representation(op: NCPoly, hbar=1) -> DiffOp:
 def _scaled_factor(alpha: DiffOp, hbar) -> DiffOp:
     """One-sided Hilbert generator ħ·Â from a phase-space generator."""
     return split_test(z_conjugate(alpha, hbar)).require() * CRat(Fraction(hbar))
+
+
+def _require_finite(element, positive: tuple = ()) -> None:
+    """Raise ValueError unless each parameter of a group element is finite
+    and each one named in ``positive`` is above zero; int and Fraction
+    values are exact, hence finite."""
+    for f in fields(element):
+        value = getattr(element, f.name)
+        if not isinstance(value, (int, Fraction)) and not isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        if f.name in positive and not value > 0:
+            raise ValueError(f"{f.name} must be positive, got {value}")
 
 
 def _verified(*relations) -> tuple:
@@ -170,8 +179,7 @@ class HWElement:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _require_finite(self, positive=("hbar",))
 
     def compose(self, other: "HWElement") -> "HWElement":
         if self.hbar != other.hbar:
@@ -183,11 +191,8 @@ class HWElement:
 
 
 def hw_generators() -> tuple:
-    """Phase-space generators (α₁, α₂) = (−i∂q, i∂p); they commute."""
-    return (
-        DiffOp.deriv(PHASE_VARS, "q", coeff=-I),
-        DiffOp.deriv(PHASE_VARS, "p", coeff=I),
-    )
+    """Phase-space generators (α₁, α₂) = (ξ(p), ξ(q)) = (−i∂q, i∂p); they commute."""
+    return xi_lift(PolySymbol.p()), xi_lift(PolySymbol.q())
 
 
 def hw_action(g: HWElement, F: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -269,26 +274,17 @@ def hw_factorize(hbar=1) -> FactorizationResult:
 def gen_heisenberg_tower(N: int) -> list:
     """Tower generators (β_n, B̂_n) for n = 1..N, with 1 ≤ N ≤ 8.
 
-    β_n = (2/n!) Σ_m (i/2)^{n−m} C(n, m) q^m ∂p^{n−m}, the sum running
-    over 0 ≤ m ≤ n with n − m odd; its factorised partner, recovered
-    through the split/read-off pipeline, is B̂_n = x^n/n!.
+    β_n = ξ(qⁿ/n!) = (2/n!) Σ_m (i/2)^{n−m} C(n, m) q^m ∂p^{n−m}, the sum
+    running over 0 ≤ m ≤ n with n − m odd; its factorised partner, read
+    off by the split, is B̂_n = xⁿ/n!.
     """
     if not isinstance(N, int) or not 1 <= N <= 8:
         raise ValueError("tower depth N must be an integer in [1, 8]")
-    half_i = I * CRat(Fraction(1, 2))
-    out = []
-    for n in range(1, N + 1):
-        terms = {}
-        for m in range(n - 1, -1, -2):
-            k = n - m
-            coeff = CRat(Fraction(2, factorial(n))) * half_i**k * comb(n, m)
-            terms[((m, 0), (0, k))] = coeff
-        beta = DiffOp(PHASE_VARS, terms)
-        a_hat = split_test(z_conjugate(beta)).require()
-        symbol = read_off_generator(a_hat)
-        b_hat = position_representation(weyl_quantize(symbol))
-        out.append((beta, b_hat))
-    return out
+    betas = (
+        xi_lift(PolySymbol.monomial(n, 0, Fraction(1, factorial(n))))
+        for n in range(1, N + 1)
+    )
+    return [(beta, _scaled_factor(beta, 1)) for beta in betas]
 
 
 def tower_factorization(N: int = 4) -> FactorizationResult:
@@ -299,8 +295,8 @@ def tower_factorization(N: int = 4) -> FactorizationResult:
     relations plus the central term [B̂₁, Â₁] = i that extends it.
     """
     pairs = gen_heisenberg_tower(N)
-    alpha1 = DiffOp.deriv(PHASE_VARS, "q", coeff=-I)
-    a1_hat = DiffOp.deriv(LINE_VARS, "x", coeff=-I)
+    alpha1 = hw_generators()[0]
+    a1_hat = _scaled_factor(alpha1, 1)
     betas = [b for b, _ in pairs]
     b_hats = [bh for _, bh in pairs]
 
@@ -352,10 +348,7 @@ class GalileiElement:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _require_finite(self, positive=("m", "hbar"))
 
     def compose(self, other: "GalileiElement") -> "GalileiElement":
         if self.m != other.m or self.hbar != other.hbar:
@@ -375,12 +368,13 @@ class GalileiElement:
 
 
 def galilei_generators(m=1) -> tuple:
-    """Generators α₁ = −i(p/m)∂q, α₂ = im∂p, α₃ = −i∂q (exact, m-free CRs)."""
+    """Generators (α₁, α₂, α₃) = (ξ(p²/2m), ξ(mq), ξ(p)) = (−i(p/m)∂q, im∂p, −i∂q).
+
+    Their commutation relations are exact and free of m.
+    """
     m = _exact_positive(m, "m")
-    alpha1 = DiffOp(PHASE_VARS, {((0, 1), (1, 0)): -I * CRat(Fraction(1, 1) / m)})
-    alpha2 = DiffOp.deriv(PHASE_VARS, "p", coeff=I * CRat(m))
-    alpha3 = DiffOp.deriv(PHASE_VARS, "q", coeff=-I)
-    return alpha1, alpha2, alpha3
+    q, p = PolySymbol.q(), PolySymbol.p()
+    return xi_lift(p * p * (1 / (2 * m))), xi_lift(q * m), xi_lift(p)
 
 
 def _galilei_unitary(g: GalileiElement, grid: GridSpec) -> np.ndarray:

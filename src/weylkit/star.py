@@ -48,6 +48,7 @@ residuals are measured against this exact array.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -150,12 +151,24 @@ def _fourier_lattice(B: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out * grid.cell
 
 
+def _phase_index(point, n: int) -> tuple:
+    """``point`` as an in-range (row, col) of a (2n, n) phase array, else ValueError."""
+    try:
+        s, k = map(operator.index, point)
+    except (TypeError, ValueError):
+        raise ValueError(f"point {point!r} is not a (row, col) pair of integers") from None
+    if not (0 <= s < 2 * n and 0 <= k < n):
+        raise ValueError(f"point {point!r} lies outside the ({2 * n}, {n}) phase array")
+    return s, k
+
+
 def star_twisted_oracle(
     A: np.ndarray, B: np.ndarray, grid: GridSpec, points=None
 ) -> np.ndarray:
     """Star product by direct quadrature of the twisted integral form.
 
-    ``points`` is an optional iterable of (row, col) phase indices; if
+    ``points`` is an optional iterable of (row, col) phase indices, integers
+    with 0 ≤ row < 2n and 0 ≤ col < n (``ValueError`` otherwise); if
     given, a 1-d array of the product at those points is returned instead
     of the full (2n, n) array.  This route is O(n²) per evaluated point
     and exists as an independent check on :func:`star`; quadrature error
@@ -166,6 +179,11 @@ def star_twisted_oracle(
     if A.shape != grid.phase_shape or B.shape != grid.phase_shape:
         raise ValueError(f"phase functions must have shape {grid.phase_shape}")
     n = grid.n
+    if points is None:
+        targets = [(s, k) for s in range(2 * n) for k in range(n)]
+    else:
+        targets = [_phase_index(point, n) for point in points]
+
     m = 2 * n - 1
     bhat = _fourier_lattice(B, grid)
     q = grid.q
@@ -174,11 +192,6 @@ def star_twisted_oracle(
     s2 = np.arange(2 * n)[:, None]
     k2 = np.arange(n)[None, :]
     sigma2 = s2 % 2
-
-    if points is None:
-        targets = [(s, k) for s in range(2 * n) for k in range(n)]
-    else:
-        targets = [(int(s), int(k)) for s, k in points]
 
     values = np.empty(len(targets), dtype=complex)
     scale = grid.cell / math.pi ** 2
@@ -203,7 +216,8 @@ def moyal_bracket(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
     bracket = _compose(
         (weyl_wigner_inv(A, grid), weyl_wigner_inv(B, grid)), lambda a, b: a @ b - b @ a, grid.dx
     )
-    return -1j * weyl_wigner(bracket, grid)
+    out = weyl_wigner(bracket, grid)
+    return np.multiply(-1j, out, out=out)  # scalar first: the bits of -1j * out
 
 
 def identity_phase(grid: GridSpec) -> np.ndarray:

@@ -34,10 +34,9 @@ from weylkit import (
     weyl_wigner,
     weyl_wigner_inv,
     wigner_of_state,
-    xi_lift,
 )
 from weylkit.groups import _verified
-from weylkit.lift import LINE_VARS
+from weylkit.lift import LINE_VARS, PHASE_VARS
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +77,36 @@ def test_hw_element_group_laws():
 def test_hw_generators_commute():
     a1, a2 = hw_generators()
     assert a1.commutator(a2).is_zero()
+
+
+def test_hw_generators_are_the_closed_forms():
+    # (α₁, α₂) = (−i∂q, i∂p), written out
+    assert hw_generators() == (
+        DiffOp.deriv(PHASE_VARS, "q", coeff=-I),
+        DiffOp.deriv(PHASE_VARS, "p", coeff=I),
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(a1=0.0, a2=0.0, hbar=math.nan),
+        dict(a1=0.0, a2=0.0, hbar=math.inf),
+        dict(a1=0.0, a2=0.0, hbar=0.0),
+        dict(a1=math.inf, a2=0.0),
+        dict(a1=0.0, a2=-math.inf),
+        dict(a1=math.nan, a2=0.0),
+    ],
+    ids=["hbar-nan", "hbar-inf", "hbar-zero", "a1-inf", "a2-minus-inf", "a1-nan"],
+)
+def test_hw_element_rejects_non_finite_parameters(params):
+    with pytest.raises(ValueError):
+        HWElement(**params)
+
+
+def test_hw_element_accepts_exact_fractions():
+    g = HWElement(Fraction(1), Fraction(-3, 2), Fraction(1, 2))
+    assert g.compose(g.inverse()) == HWElement(0, 0, Fraction(1, 2))
 
 
 def test_hw_action_is_an_exact_lattice_translation():
@@ -149,11 +178,26 @@ def test_hw_factorization_is_exact():
 # ----------------------------------------------------------------------
 
 
+def _tower_closed_form(n: int) -> DiffOp:
+    """β_n = (2/n!) Σ_m (i/2)^{n−m} C(n, m) q^m ∂p^{n−m}, over n − m odd."""
+    half_i = I * CRat(Fraction(1, 2))
+    return DiffOp(
+        PHASE_VARS,
+        {
+            ((m, 0), (0, n - m)): CRat(Fraction(2, math.factorial(n)))
+            * half_i ** (n - m)
+            * math.comb(n, m)
+            for m in range(n - 1, -1, -2)
+        },
+    )
+
+
 def test_tower_generators_are_lifted_monomials():
-    pairs = gen_heisenberg_tower(6)
+    pairs = gen_heisenberg_tower(8)
+    assert len(pairs) == 8
     for n, (beta, b_hat) in enumerate(pairs, start=1):
+        assert beta == _tower_closed_form(n)
         weight = Fraction(1, math.factorial(n))
-        assert beta == xi_lift(PolySymbol.monomial(n, 0, weight))
         assert b_hat == DiffOp.mult(LINE_VARS, "x", power=n, coeff=weight)
 
 
@@ -200,6 +244,37 @@ def test_galilei_element_group_laws():
         GalileiElement(0.0, 0.0, 0.0, m=-1.0)
     with pytest.raises(ValueError):
         g.compose(GalileiElement(0.0, 0.0, 0.0, m=2.0))
+
+
+@pytest.mark.parametrize("m", [1, 3, Fraction(5, 2)])
+def test_galilei_generators_are_the_closed_forms(m):
+    # (α₁, α₂, α₃) = (−i(p/m)∂q, im∂p, −i∂q), written out
+    m = Fraction(m)
+    assert galilei_generators(m) == (
+        DiffOp(PHASE_VARS, {((0, 1), (1, 0)): -I * CRat(1 / m)}),
+        DiffOp.deriv(PHASE_VARS, "p", coeff=I * CRat(m)),
+        DiffOp.deriv(PHASE_VARS, "q", coeff=-I),
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(m=math.nan),
+        dict(m=math.inf),
+        dict(m=0.0),
+        dict(hbar=math.nan),
+        dict(hbar=math.inf),
+        dict(a1=math.inf),
+        dict(a2=math.nan),
+        dict(a3=-math.inf),
+    ],
+    ids=["m-nan", "m-inf", "m-zero", "hbar-nan", "hbar-inf", "a1-inf", "a2-nan", "a3-minus-inf"],
+)
+def test_galilei_element_rejects_non_finite_parameters(params):
+    args = dict(a1=0.0, a2=0.0, a3=0.0) | params
+    with pytest.raises(ValueError):
+        GalileiElement(**args)
 
 
 def test_galilei_generator_relations():

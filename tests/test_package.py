@@ -1,5 +1,7 @@
-"""The package namespace: the modules' own ``__all__`` lists, exported once."""
+"""The package namespace: the modules' own ``__all__`` lists, exported once,
+and no module importing a name it never uses."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -69,3 +71,43 @@ def test_numpy_floor_is_at_least_2_0():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     (floor,) = [dep.split(">=")[1] for dep in dependencies if dep.startswith("numpy")]
     assert int(floor.split(".")[0]) >= 2
+
+
+_MODULE_FILES = sorted(
+    path for path in Path(weylkit.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but never reads; its ``__all__`` counts as a use."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_finder_sees_plain_dotted_and_exported_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys\nfrom math import comb, factorial as fact, pi\n"
+        "__all__ = ['pi']\n"
+        "def f():\n    return fact(3) + len(sys.argv)\n"
+    )
+    assert _unused_imports(source) == [(2, "os"), (4, "comb")]
+
+
+@pytest.mark.parametrize("path", _MODULE_FILES, ids=lambda path: path.name)
+def test_module_imports_only_names_it_uses(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

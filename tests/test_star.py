@@ -21,6 +21,9 @@ from weylkit import (
     wigner_of_state,
 )
 
+# the package re-exports the function star, which hides the module
+star_module = importlib.import_module("weylkit.star")
+
 GRID = GridSpec(32, 0.3125)
 
 
@@ -77,8 +80,6 @@ def test_moyal_bracket_of_real_phases_is_real_and_antisymmetric():
 
 
 def test_moyal_bracket_is_the_star_commutator(monkeypatch):
-    # the package re-exports the function star, which hides the module
-    star_module = importlib.import_module("weylkit.star")
     rng = np.random.default_rng(38)
     A, B = random_phase(rng), random_phase(rng)
     expected = -1j * (star(A, B, GRID) - star(B, A, GRID))
@@ -188,6 +189,34 @@ def test_twisted_quadrature_full_array_and_validation():
         star_twisted_oracle(phi01[:4], phi12, GRID)
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(0, -1), (-1, 0), (32, 0), (5, 16), (2.7, 3), (3, 2.0), ("2", 3), (1, 2, 3), 7],
+    ids=["col-negative", "row-negative", "row-past-end", "col-past-end",
+         "row-fractional", "col-float", "row-text", "triple", "scalar"],
+)
+def test_twisted_quadrature_rejects_points_off_the_array(point, monkeypatch):
+    # n = 16: rows 0 <= s < 32, cols 0 <= k < 16; the check runs before
+    # the O(n^2) Fourier lattice is built
+    grid = GridSpec(16, 0.4)
+    phi = transition_phase(grid, 0, 1, count=2)
+
+    def lattice_not_reached(*args):
+        raise AssertionError("points validated after the Fourier lattice")
+
+    monkeypatch.setattr(star_module, "_fourier_lattice", lattice_not_reached)
+    with pytest.raises(ValueError, match="point"):
+        star_twisted_oracle(phi, phi, grid, points=[(1, 1), point])
+
+
+def test_twisted_quadrature_accepts_numpy_integer_points():
+    grid = GridSpec(16, 0.4)
+    phi = transition_phase(grid, 0, 1, count=2)
+    corner = [(np.int64(31), np.int32(15)), (0, 0)]
+    full = star_twisted_oracle(phi, phi, grid)
+    assert np.array_equal(star_twisted_oracle(phi, phi, grid, points=corner), full[[31, 0], [15, 0]])
+
+
 def test_star_shape_validation():
     with pytest.raises(ValueError):
         star(np.zeros((4, 4)), np.zeros(GRID.phase_shape), GRID)
@@ -209,7 +238,7 @@ FORMS = {
 
 
 def _compose(factors, form, dx):
-    return importlib.import_module("weylkit.star")._compose(factors, form, dx)
+    return star_module._compose(factors, form, dx)
 
 
 def random_kernel(rng, n, scale=1.0):

@@ -12,6 +12,7 @@ from weylkit import (
     GridSpec,
     hermite_basis,
     inner_k,
+    moyal_bracket,
     parity,
     purity_residual,
     star,
@@ -33,6 +34,7 @@ from weylkit.wigner import (
     write_phase_json,
 )
 from weylkit.cli import canonical_json
+from weylkit.star import _compose
 
 GRID = GridSpec(64, 0.25)
 
@@ -391,11 +393,19 @@ def test_wigner_pipeline_peaks_are_bounded(tmp_path):
     # array (8 MiB): no dead full-size array is alive at a stage's peak
     grid = GridSpec(512, math.sqrt(math.pi / 512))
     unit = 2 * grid.n * grid.n * 16
-    psi = hermite_basis(grid, 3)[2]
+    psi1, psi = hermite_basis(grid, 3)[1:]
     K = np.outer(psi, psi.conj())
     A = weyl_wigner(K, grid)
+    B = weyl_wigner(np.outer(psi, psi1.conj()), grid)
     W = wigner_of_state(psi, grid)
     assert W.base is None and W.flags.c_contiguous and W.dtype == np.float64
+    # scaling the transform in place keeps the bits of the plain product -1j * W(...)
+    commutator = _compose(
+        (weyl_wigner_inv(A, grid), weyl_wigner_inv(B, grid)), lambda a, b: a @ b - b @ a, grid.dx
+    )
+    old = -1j * weyl_wigner(commutator, grid)
+    assert np.array_equal(moyal_bracket(A, B, grid).view(np.uint64), old.view(np.uint64))
+    del commutator, old
 
     def write_json():
         with open(tmp_path / "w.json", "w") as fh:
@@ -408,6 +418,7 @@ def test_wigner_pipeline_peaks_are_bounded(tmp_path):
         (lambda: purity_residual(W, grid), 1.75),  # kernels freed before the forward transform
         (lambda: star(A, A, grid), 2.25),
         (lambda: star_adjoint(A, grid), 1.75),
+        (lambda: moyal_bracket(A, B, grid), 2.25),  # two kernels and their two products
         (write_json, 0.05),  # a row of text at a time
     ]
     for stage, bound in stages:
