@@ -12,7 +12,17 @@ all, module by module in import order.
 
 from __future__ import annotations
 
+import os as _os
 import sys as _sys
+
+# numpy's OpenBLAS reads its environment once, at load, and by default an idle
+# worker busy-waits 2**28 cycles (~0.1 s of CPU) then and after each threaded
+# product, which every CLI request, a fresh process, pays.  2**4 cycles, the
+# minimum, lets idle workers sleep at once; the thread count, and so every
+# result, is unchanged.  A value the user set wins; once numpy is loaded the
+# variable would reach only child processes, so it is left alone.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"
 

@@ -113,7 +113,8 @@ def hermite_basis(grid: GridSpec, count: int) -> np.ndarray:
         )
     x = grid.x
     out = np.empty((count, grid.n))
-    out[0] = math.pi ** -0.25 * np.exp(-(x ** 2) / 2)
+    with np.errstate(over="ignore"):  # x² = inf at huge dx; e^{−inf} = 0 is exact
+        out[0] = math.pi ** -0.25 * np.exp(-(x ** 2) / 2)
     if count > 1:
         out[1] = x * math.sqrt(2.0) * out[0]
     for r in range(2, count):

@@ -136,10 +136,16 @@ def z_conjugate(alpha: DiffOp, hbar=1) -> DiffOp:
     p_img = (dx * (-I) + dy * I) * CRat(h / 2)
     dq_img = dx + dy
     dp_img = (x_op - y_op) * (-I / CRat(h))
+    images = (q_img, p_img, dq_img, dp_img)
+    # powers[i][k] == images[i] ** k, each built once per call
+    powers = tuple([DiffOp.identity(KERNEL_VARS)] for _ in images)
     out = DiffOp.zero(KERNEL_VARS)
     for ((a, b), (c, d)), coeff in alpha.terms.items():
         term = DiffOp.identity(KERNEL_VARS) * coeff
-        term = term * (q_img ** a) * (p_img ** b) * (dq_img ** c) * (dp_img ** d)
+        for image, cache, k in zip(images, powers, (a, b, c, d)):
+            while len(cache) <= k:
+                cache.append(cache[-1] * image)
+            term = term * cache[k]
         out = out + term
     return out
 

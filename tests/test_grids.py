@@ -1,6 +1,7 @@
 """Grid geometry, oscillator basis samples, inner products."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ def test_hermite_warns_when_grid_too_small():
         hermite_basis(grid, 12)
     with pytest.raises(ValueError):
         hermite_basis(grid, 0)
+
+
+def test_hermite_at_huge_dx_warns_only_about_the_extent():
+    # x² overflows to inf off the centre; e^{−inf} = 0 is the exact sample
+    n = 64
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = hermite_basis(GridSpec(n, 1e300), 6)
+    assert [w.category for w in caught] == [UserWarning]
+    centre = hermite_basis(GridSpec(n, 0.25), 6)[:, n // 2]
+    assert np.array_equal(basis[:, n // 2], centre)
+    assert not np.any(np.delete(basis, n // 2, axis=1))
 
 
 def test_inner_h_contract():

@@ -1,6 +1,7 @@
 """The generator lift: symbols to phase-space derivations and back."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -12,10 +13,12 @@ from weylkit import (
     I,
     ONE,
     PolySymbol,
+    Sp2Params,
     moyal_symbolic,
     potential_generator,
     read_off_generator,
     split_test,
+    sp2_generators,
     table1_check,
     xi_lift,
     z_conjugate,
@@ -124,6 +127,31 @@ def test_z_conjugate_generator_images():
         z_conjugate(DiffOp.identity(KERNEL_VARS))
     with pytest.raises(ValueError):
         z_conjugate(DiffOp.identity(PHASE_VARS), hbar=0.5)
+
+
+def _z_conjugate_by_terms(alpha, hbar):
+    """Oracle: each term's image as the product of fresh factor-image powers."""
+    x_op = DiffOp.mult(KERNEL_VARS, "x")
+    y_op = DiffOp.mult(KERNEL_VARS, "y")
+    dx = DiffOp.deriv(KERNEL_VARS, "x")
+    dy = DiffOp.deriv(KERNEL_VARS, "y")
+    h = CRat(Fraction(hbar))
+    q_img = (x_op + y_op) * CRat(Fraction(1, 2))
+    p_img = (dx * (-I) + dy * I) * (h / 2)
+    dq_img = dx + dy
+    dp_img = (x_op - y_op) * (-I / h)
+    out = DiffOp.zero(KERNEL_VARS)
+    for ((a, b), (c, d)), coeff in alpha.terms.items():
+        out = out + (q_img**a) * (p_img**b) * (dq_img**c) * (dp_img**d) * coeff
+    return out
+
+
+@pytest.mark.parametrize("hbar", [1, Fraction(2, 3)])
+def test_z_conjugate_matches_the_term_by_term_product(hbar):
+    tower = [xi_lift(PolySymbol.monomial(n, 0, Fraction(1, factorial(n)))) for n in range(1, 9)]
+    alphas, _ = sp2_generators(Sp2Params("B", 2))
+    for alpha in tower + list(alphas):
+        assert z_conjugate(alpha, hbar).terms == _z_conjugate_by_terms(alpha, hbar).terms
 
 
 @pytest.mark.parametrize("hbar", [0, -1, 1.5])

@@ -1,8 +1,12 @@
 """The package namespace: the modules' own ``__all__`` lists, exported once,
-and no module importing a name it never uses."""
+no module importing a name it never uses, and the BLAS default the package
+sets before numpy loads."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +75,32 @@ def test_numpy_floor_is_at_least_2_0():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     (floor,) = [dep.split(">=")[1] for dep in dependencies if dep.startswith("numpy")]
     assert int(floor.split(".")[0]) >= 2
+
+
+def _timeout_after(statement, preset=None):
+    """OPENBLAS_THREAD_TIMEOUT in a fresh interpreter after ``statement``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(weylkit.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    code = f"import os; {statement}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_import_sets_the_openblas_thread_timeout_before_numpy_loads():
+    assert _timeout_after("import weylkit") == "4"
+
+
+def test_a_preset_openblas_thread_timeout_is_kept():
+    assert _timeout_after("import weylkit", preset="7") == "7"
+
+
+def test_numpy_loaded_first_leaves_the_environment_alone():
+    assert _timeout_after("import numpy, weylkit") == "None"
 
 
 _MODULE_FILES = sorted(
