@@ -4,8 +4,8 @@ Five families of real unitary phase-space representations, each paired
 with the recovery of its Hilbert-space counterpart.  The phase-space
 generators of every continuous family are lifts α = ξ(A) of real symbols
 A, and each Hilbert factor Â is read off the lift by the two-point split
-(``split_test(z_conjugate(α))``), except for sp(2,R), whose factors are
-the Weyl quantizations of its symbols shifted by the closure constants:
+``split_test(z_conjugate(α))``, the paper's factorisation step; sp(2,R)
+then adds to each factor the constant that closes its algebra:
 
 * ``hw_action`` / ``hw_factorize`` — the Heisenberg-Weyl group acting by
   phase-space translations, factorising to the canonical pair q̂, p̂ with
@@ -17,8 +17,8 @@ the Weyl quantizations of its symbols shifted by the closure constants:
   (time translation, boost, space translation), factorising to the free
   Hamiltonian, boost and momentum operators with central charge ħm.
 * ``sp2_generators`` — two inequivalent sp(2,R) representations (Case A
-  quadratic, Case B cubic with a real parameter), factorised through the
-  symbolic quantization pipeline and separated by their Casimir values.
+  quadratic, Case B cubic with a real parameter), factorised by the same
+  split and separated by their Casimir values.
 * ``time_reversal_check`` — the two-element group realised linearly on
   phase functions by momentum reversal, whose factorisation is the
   antiunitary conjugation operator.
@@ -43,7 +43,7 @@ from .diffops import DiffOp
 from .grids import GridSpec
 from .lift import LINE_VARS, _exact_positive, split_test, xi_lift, z_conjugate
 from .rational import CRat, I
-from .symbols import NCPoly, PolySymbol, moyal_symbolic, weyl_quantize
+from .symbols import PolySymbol, moyal_symbolic
 from .wigner import parity, weyl_wigner, weyl_wigner_inv
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "GalileiElement",
     "Sp2Params",
     "FactorizationResult",
-    "position_representation",
     "hw_generators",
     "hw_action",
     "hw_cocycle",
@@ -81,19 +80,6 @@ def _lattice_steps(value: float, step: float):
     return None
 
 
-def position_representation(op: NCPoly, hbar=1) -> DiffOp:
-    """Coordinate realisation of an operator polynomial: q̂ -> x, p̂ -> −iħ∂x.
-
-    Applied to the normal-ordered form, q̂^a p̂^b -> (−iħ)^b x^a ∂x^b.
-    """
-    p_coeff = -I * CRat(_exact_positive(hbar, "hbar"))
-    terms = {
-        ((a,), (b,)): c * p_coeff ** b
-        for (a, b), c in op.terms.items()
-    }
-    return DiffOp(LINE_VARS, terms)
-
-
 def _scaled_factor(alpha: DiffOp, hbar) -> DiffOp:
     """One-sided Hilbert generator ħ·Â from a phase-space generator."""
     return split_test(z_conjugate(alpha, hbar)).require() * CRat(Fraction(hbar))
@@ -116,7 +102,8 @@ def _verified(*relations) -> tuple:
 
     A residual is an exact value (operator or scalar) that must vanish,
     or a list of them under one label.  Raises ArithmeticError naming the
-    first label that fails; returns the labels in order.
+    first label that fails; returns the labels in order, less any whose
+    list is empty, since it checked nothing.
     """
     for label, residuals in relations:
         for residual in residuals if isinstance(residuals, list) else [residuals]:
@@ -124,7 +111,7 @@ def _verified(*relations) -> tuple:
                 raise ArithmeticError(
                     f"exact relation failed: {label}; residual {residual}"
                 )
-    return tuple(label for label, _ in relations)
+    return tuple(label for label, r in relations if not isinstance(r, list) or r)
 
 
 @dataclass(frozen=True)
@@ -278,7 +265,7 @@ def gen_heisenberg_tower(N: int) -> list:
     running over 0 ≤ m ≤ n with n − m odd; its factorised partner, read
     off by the split, is B̂_n = xⁿ/n!.
     """
-    if not isinstance(N, int) or not 1 <= N <= 8:
+    if isinstance(N, bool) or not isinstance(N, int) or not 1 <= N <= 8:
         raise ValueError("tower depth N must be an integer in [1, 8]")
     betas = (
         xi_lift(PolySymbol.monomial(n, 0, Fraction(1, factorial(n))))
@@ -497,7 +484,7 @@ class Sp2Params:
         if self.case not in ("A", "B"):
             raise ValueError('case must be "A" or "B"')
         if self.case == "B":
-            if not isinstance(self.a, (int, Fraction)):
+            if isinstance(self.a, bool) or not isinstance(self.a, (int, Fraction)):
                 raise ValueError("Case B requires an exact parameter a (int or Fraction)")
         elif self.a is not None:
             raise ValueError("Case A takes no parameter")
@@ -539,8 +526,10 @@ def sp2_generators(params: Sp2Params):
     Returns ``(alphas, result)``: the three phase-space generators
     α_i = ξ(A_i) (exactly the tabulated forms, including the third-order
     derivative terms in Case B), and a :class:`FactorizationResult` whose
-    Hilbert operators Â_i are the Weyl quantizations of A_i shifted by
-    the unique constants that close the algebra without central terms.
+    Hilbert operators Â_i are read off the α_i by the two-point split and
+    shifted by the unique constants that close the algebra without central
+    terms; those come from symbol brackets, so the commutators of the Â_i
+    check the split against an independent route.
     The quadratic Casimir −Â₁² − Â₂² + Â₃² is evaluated exactly and must
     be a scalar: −3/16 for Case A, −(a² + 1)/4 for Case B.
     """
@@ -555,8 +544,7 @@ def sp2_generators(params: Sp2Params):
     k2 = _closure_shift(moyal_symbolic(a3, a1), a2, "{A3, A1} = A2 + k2")
     k3 = -_closure_shift(moyal_symbolic(a1, a2), -a3, "{A1, A2} = -A3 - k3")
     shifts = (k1, k2, k3)
-    shifted = tuple(s + PolySymbol.constant(k) for s, k in zip(syms, shifts))
-    a_hats = tuple(position_representation(weyl_quantize(s)) for s in shifted)
+    a_hats = tuple(_scaled_factor(alpha, 1) + k for alpha, k in zip(alphas, shifts))
 
     casimir = -(a_hats[0] * a_hats[0]) - a_hats[1] * a_hats[1] + a_hats[2] * a_hats[2]
     value = casimir.constant_part()
@@ -608,6 +596,8 @@ def time_reversal_check(grid: GridSpec | None = None, count: int = 20, rng=None)
 
     Returns the JSON verification report.
     """
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     grid = grid or GridSpec(64, 0.25)
     rng = np.random.default_rng(rng)
     n = grid.n

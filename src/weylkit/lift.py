@@ -103,7 +103,7 @@ def xi_monomial(m: int, n: int) -> DiffOp:
 
 def _exact_positive(value, name: str) -> Fraction:
     """Coerce an exact positive parameter for the symbolic layer."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         value = Fraction(value)
     if not isinstance(value, Fraction):
         raise ValueError(f"{name} must be an exact integer or Fraction")

@@ -26,22 +26,36 @@ from weylkit import (
     hw_factorize,
     hw_generators,
     parity,
-    position_representation,
+    parse_symbol,
     sp2_generators,
     sp2_symbols,
     time_reversal_check,
     tower_factorization,
+    weyl_quantize,
     weyl_wigner,
     weyl_wigner_inv,
     wigner_of_state,
+    xi_lift,
 )
-from weylkit.groups import _verified
-from weylkit.lift import LINE_VARS, PHASE_VARS
+from weylkit.checks import _random_symbol
+from weylkit.groups import _scaled_factor, _verified
+from weylkit.lift import LINE_VARS, PHASE_VARS, _exact_positive
 
 
 # ----------------------------------------------------------------------
-# coordinate realisation
+# coordinate realisation: the oracle for the two-point split
 # ----------------------------------------------------------------------
+
+
+def position_representation(op: NCPoly, hbar=1) -> DiffOp:
+    """Coordinate realisation of an operator polynomial: q̂ -> x, p̂ -> −iħ∂x.
+
+    Applied to the normal-ordered form, q̂^a p̂^b -> (−iħ)^b x^a ∂x^b.
+    """
+    p_coeff = -I * CRat(_exact_positive(hbar, "hbar"))
+    return DiffOp(
+        LINE_VARS, {((a,), (b,)): c * p_coeff ** b for (a, b), c in op.terms.items()}
+    )
 
 
 def test_position_representation_word_order_and_hbar():
@@ -56,6 +70,21 @@ def test_position_representation_word_order_and_hbar():
     assert position_representation(NCPoly.p(), hbar=2) == dx * CRat(0, -2)
     with pytest.raises(ValueError):
         position_representation(NCPoly.q(), hbar=0.5)
+
+
+def test_split_reads_off_the_weyl_quantization_up_to_a_real_constant():
+    # the split fixes every real gauge constant to zero, so it agrees with
+    # quantisation up to one: q²p² quantises to −x²∂x² − 2x∂x − 1/2
+    rng = np.random.default_rng(2024)
+    shifted = 0
+    for _ in range(300):
+        A = _random_symbol(rng, 4, real=True).without_constant()
+        gap = _scaled_factor(xi_lift(A), 1) - position_representation(weyl_quantize(A))
+        constant = gap.constant_part()
+        assert gap == DiffOp.constant(LINE_VARS, constant), str(A)
+        assert constant.is_real(), str(A)
+        shifted += not constant.is_zero()
+    assert shifted > 0
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +200,8 @@ def test_hw_factorization_is_exact():
     assert len(report["factorized_generators_pretty"]) == 2
     with pytest.raises(ValueError):
         hw_factorize(hbar=0)
+    with pytest.raises(ValueError):
+        hw_factorize(hbar=True)
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +233,18 @@ def test_tower_generators_are_lifted_monomials():
 
 
 def test_tower_depth_validation():
-    for bad in (0, 9, 2.5):
+    for bad in (0, 9, 2.5, True):
         with pytest.raises(ValueError):
             gen_heisenberg_tower(bad)
+
+
+def test_shallow_tower_lists_only_relations_with_an_instance():
+    # at depth 1 there is no lowering relation and no pair to commute
+    assert tower_factorization(1).relations_checked == (
+        "[alpha1, beta_1] = 0",
+        "[B_1, A_1] = i  (central extension, hbar = 1)",
+    )
+    assert len(tower_factorization(2).relations_checked) == 6
 
 
 def test_tower_factorization_report():
@@ -219,6 +259,7 @@ def test_verified_names_the_first_failing_relation():
     x = DiffOp.mult(LINE_VARS, "x")
     zero = DiffOp.zero(LINE_VARS)
     assert _verified(("a", zero), ("b", [zero, zero]), ("c", Fraction(0))) == ("a", "b", "c")
+    assert _verified(("a", zero), ("empty", []), ("c", zero)) == ("a", "c")
     with pytest.raises(ArithmeticError, match=r"relation failed: b; residual x"):
         _verified(("a", zero), ("b", [zero, x]), ("c", x))
     with pytest.raises(ArithmeticError, match=r"relation failed: c; residual 1/2"):
@@ -439,6 +480,8 @@ def test_sp2_params_validation():
         Sp2Params("B")
     with pytest.raises(ValueError):
         Sp2Params("A", 1)
+    with pytest.raises(ValueError):
+        Sp2Params("B", True)
     assert Sp2Params("B", Fraction(3, 2)).a == Fraction(3, 2)
 
 
@@ -486,6 +529,18 @@ def test_sp2_case_b_casimir_tracks_the_parameter(a):
     assert shift == ("0", str(CRat(-Fraction(a) / 2)), "0")
 
 
+@pytest.mark.parametrize(
+    "params",
+    [Sp2Params("A")] + [Sp2Params("B", a) for a in (0, 1, 2, Fraction(1, 3), -5)],
+    ids=["A", "B0", "B1", "B2", "B1/3", "B-5"],
+)
+def test_sp2_split_factors_are_the_shifted_weyl_quantizations(params):
+    _, result = sp2_generators(params)
+    shifts = result.details["closure_shifts"]
+    for sym, k, a_hat in zip(sp2_symbols(params), shifts, result.hilbert_generators):
+        assert a_hat == position_representation(weyl_quantize(sym + parse_symbol(k)))
+
+
 def test_sp2_case_b_lifts_have_third_order_terms():
     alphas, _ = sp2_generators(Sp2Params("B", 1))
     assert max(a.derivative_order() for a in alphas) == 3
@@ -527,6 +582,12 @@ def test_time_reversal_laws_hold_to_machine_precision():
     assert report["max_residual"] < 1e-12
     assert report["casimir_value"] is None
     assert len(report["relations_checked"]) == 4
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
+def test_time_reversal_refuses_an_empty_check(count):
+    with pytest.raises(ValueError, match="count"):
+        time_reversal_check(count=count)
 
 
 def test_time_reversal_is_deterministic_given_a_seed():

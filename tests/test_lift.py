@@ -154,7 +154,7 @@ def test_z_conjugate_matches_the_term_by_term_product(hbar):
         assert z_conjugate(alpha, hbar).terms == _z_conjugate_by_terms(alpha, hbar).terms
 
 
-@pytest.mark.parametrize("hbar", [0, -1, 1.5])
+@pytest.mark.parametrize("hbar", [0, -1, 1.5, True])
 def test_z_conjugate_rejects_non_positive_or_inexact_hbar(hbar):
     with pytest.raises(ValueError):
         z_conjugate(xi_lift(Q * Q), hbar=hbar)

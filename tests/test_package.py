@@ -28,7 +28,7 @@ _EARLIER_EXPORTS = {
     "purity_residual star_unitary_residual",
     "factorize": "AlphaKernel RFunction GaussianAlphaSpec alpha_kernel_from_A kernel_to_R "
     "autv_residual recover_A",
-    "groups": "HWElement GalileiElement Sp2Params FactorizationResult position_representation "
+    "groups": "HWElement GalileiElement Sp2Params FactorizationResult "
     "hw_generators hw_action hw_cocycle hw_factorize gen_heisenberg_tower tower_factorization "
     "galilei_generators galilei_action galilei_factorize sp2_symbols sp2_generators "
     "time_reversal_check",
