@@ -133,10 +133,8 @@ def _maxabs(a) -> float:
 # ----------------------------------------------------------------------
 
 
-def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
-    grid = grid or GridSpec(64, 0.25)
-    rng = _rng("wigner", seed)
-
+def _transform_residuals(rng, grid: GridSpec) -> tuple:
+    """Round trips, inner products and transposition over five random kernel pairs."""
     round_k = round_p = parseval = transpose = 0.0
     for _ in range(5):
         K1 = _random_kernel(rng, grid)
@@ -156,32 +154,66 @@ def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
         transpose = max(
             transpose, _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)) / a_scale
         )
+    return round_k, round_p, parseval, transpose
+
+
+def _state_residuals(basis, grid: GridSpec) -> tuple:
+    """Ground state against its closed form; the first excited state at the origin."""
+    gauss = np.exp(-(grid.q_matrix() ** 2) - grid.p_matrix() ** 2) / np.pi
+    ground = _maxabs(wigner_of_state(basis[0], grid) - gauss)
+    origin = abs(wigner_of_state(basis[1], grid)[grid.n, grid.n // 2] + 1 / np.pi)
+    return ground, origin
+
+
+def _transition_gram_residual(basis, grid: GridSpec) -> float:
+    """max |<Φ_rs, Φ_uv> − δ_ru δ_sv| over every ordered pair of the transition
+    symbols Φ_rs = W(basis_r ⊗ conj(basis_s)).
+
+    Each inner product is formed as with all symbols at hand, so the result
+    is the same float, but at most five symbols are alive: a group of four
+    is held while every later symbol passes by once (40 transforms, not 16).
+    """
+    width = 4
+    labels = [(r, s) for r in range(len(basis)) for s in range(len(basis))]
+
+    def symbol(label):
+        r, s = label
+        return weyl_wigner(np.outer(basis[r], basis[s].conj()), grid)
+
+    ortho = 0.0
+    for start in range(0, len(labels), width):
+        held = {label: symbol(label) for label in labels[start : start + width]}
+        for a, F_a in held.items():
+            for b, F_b in held.items():
+                expected = 1.0 if a == b else 0.0
+                ortho = max(ortho, abs(inner_k(F_a, F_b, grid) - expected))
+        for label in labels[start + width :]:
+            F = symbol(label)
+            for F_a in held.values():
+                ortho = max(ortho, abs(inner_k(F_a, F, grid)), abs(inner_k(F, F_a, grid)))
+            del F  # before the next symbol is built
+        del held
+    return ortho
+
+
+def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
+    # each stage in its own function, so that its arrays are freed before the next
+    grid = grid or GridSpec(64, 0.25)
+    rng = _rng("wigner", seed)
+
+    round_k, round_p, parseval, transpose = _transform_residuals(rng, grid)
 
     F = weyl_wigner(_random_kernel(rng, grid), grid)
     involution = _maxabs(parity(parity(F, grid), grid) - F)
+    del F
 
     ident = _maxabs(
         weyl_wigner(np.eye(grid.n) / grid.dx, grid) - identity_phase(grid)
     )
 
     basis = hermite_basis(grid, 4)
-    qs, ps = grid.q_matrix(), grid.p_matrix()
-    w0 = wigner_of_state(basis[0], grid)
-    gauss = np.exp(-(qs**2) - ps**2) / np.pi
-    ground = _maxabs(w0 - gauss)
-    w1 = wigner_of_state(basis[1], grid)
-    origin = abs(w1[grid.n, grid.n // 2] + 1 / np.pi)
-
-    ortho = 0.0
-    phis = {
-        (r, s): weyl_wigner(np.outer(basis[r], basis[s].conj()), grid)
-        for r in range(4)
-        for s in range(4)
-    }
-    for (r, s), F_rs in phis.items():
-        for (u, v), F_uv in phis.items():
-            expected = 1.0 if (r == u and s == v) else 0.0
-            ortho = max(ortho, abs(inner_k(F_rs, F_uv, grid) - expected))
+    ground, origin = _state_residuals(basis, grid)
+    ortho = _transition_gram_residual(basis, grid)
 
     invariants = [
         _numeric("kernel round trip: Winv(W(K)) = K", round_k, 1e-12),

@@ -215,7 +215,11 @@ def _write_phase_array(stem: str, A, grid: GridSpec, config: RunConfig) -> str:
 
 
 def _split_superposition(text: str) -> list:
-    """Split on top-level +/-, keeping signs with their terms."""
+    """Split on top-level +/-, keeping signs with their terms.
+
+    A sign after an exponent's e, a '*', '/', '(' or a basis name's ':'
+    belongs to the number it starts: 'hermite:-1' is one term.
+    """
     terms, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -226,7 +230,7 @@ def _split_superposition(text: str) -> list:
             ch in "+-"
             and depth == 0
             and i > start
-            and text[i - 1] not in "eE*/("
+            and text[i - 1] not in "eE*/(:"
         ):
             terms.append(text[start:i])
             start = i

@@ -21,9 +21,19 @@ factorises as
 so each row is one length-n FFT between two 1-d phase vectors that depend
 only on the parity, every phase argument lies within π, and the transform
 and its inverse are exact mutual inverses in exact arithmetic and
-round-trip at machine precision in floats.  The slot index of each kernel
-entry and the vectors w_σ, c_σ are built once per grid (``_plan``, cached
-on the ``GridSpec``).
+round-trip at machine precision in floats.  The vectors w_σ, c_σ are
+built once per grid (``_plan``, cached on the ``GridSpec``).
+
+Two paths move kernel entries into slots, with the same arithmetic on the
+same values.  A grid whose (2n, n) complex array fits a 4 MiB L2 (n ≤ 362)
+gathers the whole kernel through a cached n×n table of slots
+(``_scatter``).  A larger grid streams: each row takes its anti-diagonal
+as one strided slice, and the weight, FFT and phase passes run on blocks
+of whole row pairs (``_row_blocks``), so that no index table, no full row
+array and, for ``wigner_of_state``, no outer product is built.  Every pass
+keeps the (pairs, 2, n) × (2, n) broadcast of the full transform: numpy
+may pick another complex-multiply loop for another shape, and its bits
+can differ.
 
 Structural facts used throughout (and enforced by tests):
 
@@ -69,15 +79,13 @@ __all__ = [
 
 
 class _Plan(NamedTuple):
-    """Per-grid tables of the transform in the centred-offset layout.
+    """Per-grid phase vectors of the transform in the centred-offset layout.
 
-    ``scatter[i, j]`` is the flat slot s·n + m of kernel entry (i, j) in
-    the (2n, n) row layout; ``weight[σ]`` and ``phase[σ]`` are the vectors
-    w_σ and c_σ of the module docstring, and ``inv_weight``/``inv_phase``
-    the conj(w_σ) and 1/c_σ that undo them in the inverse transform.
+    ``weight[σ]`` and ``phase[σ]`` are the vectors w_σ and c_σ of the module
+    docstring, and ``inv_weight``/``inv_phase`` the conj(w_σ) and 1/c_σ
+    that undo them in the inverse transform.
     """
 
-    scatter: np.ndarray
     weight: np.ndarray
     phase: np.ndarray
     inv_weight: np.ndarray
@@ -87,12 +95,6 @@ class _Plan(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _plan(grid: GridSpec) -> _Plan:
     n = grid.n
-    # intp, numpy's own index type: an int32 index would be cast afresh on
-    # every gather and scatter, which doubles their time
-    i = np.arange(n, dtype=np.intp)[:, None]
-    j = np.arange(n, dtype=np.intp)[None, :]
-    s = i + j
-    scatter = s * n + (i - j - s % 2) // 2 % n
     m = np.arange(n)
     centred = (m + n // 2) % n - n // 2  # m' ≡ m (mod n), in [−n/2, n/2)
     sigma = np.arange(2)[:, None]
@@ -100,10 +102,118 @@ def _plan(grid: GridSpec) -> _Plan:
     phase = 2 * grid.dx * np.exp(
         1j * math.pi * sigma * ((n - sigma) / (2 * n) - m / n)
     )
-    tables = _Plan(scatter, weight, phase, weight.conj(), 1 / phase)
+    tables = _Plan(weight, phase, weight.conj(), 1 / phase)
     for table in tables:
         table.flags.writeable = False  # shared by every caller on this grid
     return tables
+
+
+_L2_BYTES = 4 << 20
+_BLOCK_BYTES = 256 << 10  # a block of rows stays in L2 through its three passes
+
+
+def _streams(n: int) -> bool:
+    """Whether an n-point grid takes the row path: its (2n, n) complex array outgrows L2."""
+    return 32 * n * n > _L2_BYTES
+
+
+def _block_pairs(n: int) -> int:
+    """Row pairs per block of the row path."""
+    return max(1, _BLOCK_BYTES // (32 * n))
+
+
+@functools.lru_cache(maxsize=4)
+def _scatter(n: int) -> np.ndarray:
+    """``table[i, j]``: the flat slot s·n + m of kernel entry (i, j) in the
+    (2n, n) row layout (table path only)."""
+    # intp, numpy's own index type: an int32 index would be cast afresh on
+    # every gather and scatter, which doubles their time
+    i = np.arange(n, dtype=np.intp)[:, None]
+    j = np.arange(n, dtype=np.intp)[None, :]
+    s = i + j
+    table = s * n + (i - j - s % 2) // 2 % n
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _diagonals(n: int) -> list:
+    """Per row s < 2n − 1 (row path only): (s, entries, mirror, first, head, tail).
+
+    Kernel entries K[i, s − i] for i in ``entries`` (lo ≤ i ≤ hi), whose
+    column indices s − i run through ``mirror``, sit at the cyclic slots
+    (i − ⌈s/2⌉) mod n: the first ``first`` of them at ``head``, the rest
+    at ``tail``; every other slot of the row is 0.
+    """
+    rows = []
+    for s in range(2 * n - 1):
+        lo, hi = max(0, s - n + 1), min(s, n - 1)
+        start = (lo - (s + 1) // 2) % n
+        first = min(n - start, hi - lo + 1)
+        mirror = slice(s - lo, s - hi - 1 if s > hi else None, -1)
+        rows.append((s, slice(lo, hi + 1), mirror, first, slice(start, start + first),
+                     slice(0, hi - lo + 1 - first)))
+    return rows
+
+
+def _skew(K: np.ndarray) -> np.ndarray:
+    """A view D of an n×n ``K`` with D[s, i] = K[i, s − i].
+
+    D spans memory outside K: only entries with 0 ≤ s − i < n may be
+    touched, which the slices of ``_diagonals`` guarantee.
+    """
+    n = K.shape[0]
+    st0, st1 = K.strides
+    return np.lib.stride_tricks.as_strided(
+        K, (2 * n - 1, n), (st1, st0 - st1), writeable=K.flags.writeable
+    )
+
+
+def _row_blocks(grid: GridSpec, diagonal, out=None):
+    """Yield (pairs, block): the transform, as blocks of the (n, 2, n) row layout.
+
+    ``diagonal(s, entries, mirror)`` returns the kernel's anti-diagonal s
+    (see ``_diagonals``).  The blocks are views of a zeroed ``out`` of
+    shape (n, 2, n) if one is given, else of one buffer block that the
+    next block overwrites.
+    """
+    n = grid.n
+    plan = _plan(grid)
+    rows = _diagonals(n)
+    step = _block_pairs(n)
+    if out is None:
+        buffer = np.empty((step, 2, n), dtype=complex)
+    for r0 in range(0, n, step):
+        if out is None:
+            block = buffer[: n - r0]
+            block.fill(0)
+        else:
+            block = out[r0 : r0 + step]
+        block_rows = block.reshape(-1, n)
+        for row, (s, entries, mirror, first, head, tail) in zip(
+            block_rows, rows[2 * r0 : 2 * r0 + len(block_rows)]
+        ):
+            values = diagonal(s, entries, mirror)
+            row[head] = values[:first]
+            row[tail] = values[first:]
+        block *= plan.weight
+        np.fft.fft(block, axis=2, out=block)
+        block *= plan.phase
+        yield slice(r0, r0 + len(block)), block
+
+
+def _phase_blocks(K: np.ndarray, grid: GridSpec):
+    """Yield (pairs, block): ``weyl_wigner(K, grid)`` in blocks of the (n, 2, n)
+    row layout, each valid until the next is drawn; one block on the table path.
+    Pass ``K`` bound to no other name: the table path frees it before yielding."""
+    n = grid.n
+    if not _streams(n):
+        A = weyl_wigner(K, grid)
+        del K
+        yield slice(None), A.reshape(n, 2, n)
+        return
+    skew = _skew(K)
+    yield from _row_blocks(grid, lambda s, entries, _: skew[s, entries])
 
 
 def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -116,9 +226,14 @@ def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
     if K.shape != grid.kernel_shape:
         raise ValueError(f"kernel must have shape {grid.kernel_shape}")
     n = grid.n
-    plan = _plan(grid)
     rows = np.zeros((n, 2, n), dtype=complex)  # axis 1 is the parity σ
-    rows.reshape(-1)[plan.scatter] = K
+    if _streams(n):
+        skew = _skew(K)
+        for _ in _row_blocks(grid, lambda s, entries, _: skew[s, entries], rows):
+            pass  # the blocks are views of rows
+        return rows.reshape(grid.phase_shape)
+    plan = _plan(grid)
+    rows.reshape(-1)[_scatter(n)] = K
     rows *= plan.weight
     np.fft.fft(rows, axis=2, out=rows)
     rows *= plan.phase
@@ -136,10 +251,29 @@ def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
     n = grid.n
     plan = _plan(grid)
-    rows = A.reshape(n, 2, n) * plan.inv_phase
-    np.fft.ifft(rows, axis=2, out=rows)
-    rows *= plan.inv_weight
-    return rows.ravel()[plan.scatter]
+    if not _streams(n):
+        rows = A.reshape(n, 2, n) * plan.inv_phase
+        np.fft.ifft(rows, axis=2, out=rows)
+        rows *= plan.inv_weight
+        return rows.ravel()[_scatter(n)]
+    K = np.empty(grid.kernel_shape, dtype=complex)  # every entry lies on one anti-diagonal
+    skew = _skew(K)
+    rows = _diagonals(n)
+    step = _block_pairs(n)
+    buffer = np.empty((step, 2, n), dtype=complex)
+    for r0 in range(0, n, step):
+        pairs = A.reshape(n, 2, n)[r0 : r0 + step]
+        block = np.multiply(pairs, plan.inv_phase, out=buffer[: len(pairs)])
+        np.fft.ifft(block, axis=2, out=block)
+        block *= plan.inv_weight
+        block_rows = block.reshape(-1, n)
+        for row, (s, entries, _, first, head, tail) in zip(
+            block_rows, rows[2 * r0 : 2 * r0 + len(block_rows)]
+        ):
+            values = skew[s, entries]
+            values[:first] = row[head]
+            values[first:] = row[tail]
+    return K
 
 
 def parity(A: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -171,9 +305,18 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != (grid.n,):
         raise ValueError("state must be a 1-d array of length n")
-    W = weyl_wigner(np.outer(psi, np.conj(psi)), grid)
-    W /= 2 * math.pi  # in place: the bits of the out-of-place complex division
-    return W.real.copy()
+    n = grid.n
+    if not _streams(n):
+        W = weyl_wigner(np.outer(psi, np.conj(psi)), grid)
+        W /= 2 * math.pi  # in place: the bits of the out-of-place complex division
+        return W.real.copy()
+    # each anti-diagonal ψ_i conj(ψ_{s−i}) as its own product: no outer product
+    conj = np.conj(psi)
+    W = np.empty(grid.phase_shape)
+    for pairs, block in _row_blocks(grid, lambda s, entries, mirror: psi[entries] * conj[mirror]):
+        block /= 2 * math.pi
+        W.reshape(n, 2, n)[pairs] = block.real
+    return W
 
 
 # ----------------------------------------------------------------------

@@ -431,6 +431,17 @@ def test_wigner_bad_states(tmp_path, capsys, state):
     assert "grid spacing" not in err
 
 
+def test_negative_basis_index_is_named(tmp_path, capsys):
+    # the sign after "hermite:" is the index's, not the start of a second term
+    code, _, err = run(capsys, "wigner", "hermite:-1", "--out", str(tmp_path))
+    assert code == 2
+    assert "basis index -1 out of range" in err
+    assert "'hermite:'" not in err
+    code, _, err = run(capsys, "wigner", "hermite:0-hermite:-2", "--out", str(tmp_path))
+    assert code == 2
+    assert "basis index -2 out of range" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wigner_tiny_states_are_not_zero(tmp_path, capsys):
     # the squares of 1e-170 underflow: the plain norm reads 0

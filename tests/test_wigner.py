@@ -1,8 +1,10 @@
 """Kernel <-> phase-function transform: exactness, structure, serialization."""
 
+import contextlib
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from weylkit import (
     weyl_wigner_inv,
     wigner_of_state,
 )
+from weylkit import wigner
 from weylkit.wigner import (
     _plan,
     kernel_from_json,
@@ -33,6 +36,7 @@ from weylkit.wigner import (
     write_phase_csv,
     write_phase_json,
 )
+from weylkit.checks import _transition_gram_residual
 from weylkit.cli import canonical_json
 from weylkit.star import _compose
 
@@ -214,12 +218,62 @@ def test_state_wigner_normalization_and_purity_integrals():
         wigner_of_state(psi[:10], grid)
 
 
+def bits(value):
+    """The uint64 words of an array or tuple of floats: equality is bit for bit."""
+    return np.ascontiguousarray(np.asarray(value)).view(np.uint64)
+
+
+def on_both_paths(monkeypatch, compute, pairs):
+    """compute() on the table path, then on the row path in blocks of ``pairs`` row pairs."""
+    results = []
+    for streams in (False, True):
+        monkeypatch.setattr(wigner, "_streams", lambda n: streams)
+        monkeypatch.setattr(wigner, "_block_pairs", lambda n: pairs)
+        results.append(bits(compute()))
+    return results
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    # blocks of 2·pairs rows that do and do not divide 2n, on both sides of
+    # the crossover (n = 362 gathers by table, n = 364 streams)
+    [(4, 1), (4, 3), (6, 3), (6, 4), (362, 5), (364, 7), (364, 22), (512, 16)],
+)
+def test_row_path_is_the_table_path_bit_for_bit(monkeypatch, n, pairs):
+    assert wigner._streams(n) == (n >= 364)
+    # tails out to |x| = 40 (38 at n ≤ 6): subnormal samples, and beyond
+    # them exact ±0.0
+    grid = GridSpec(n, 80 / n if n > 6 else 38 / (n // 2))
+    rng = np.random.default_rng(n + pairs)
+    K = random_kernel(rng, grid)
+    A = weyl_wigner(K, grid)
+    # at n ≤ 6 the grid is too coarse for the basis, and says so
+    with pytest.warns(UserWarning) if n <= 6 else contextlib.nullcontext():
+        odd = hermite_basis(grid, 2)[1]
+    assert odd[n // 2] == 0.0  # the node at x = 0
+    odd[n // 2] = -0.0
+    assert np.any(np.abs(odd[odd != 0]) < sys.float_info.min)
+    psi = (0.6 - 0.8j) * odd
+    W = wigner_of_state(psi, grid)
+    for compute in [
+        lambda: weyl_wigner(K, grid),
+        lambda: weyl_wigner(K.T, grid),  # a strided kernel is read in place
+        lambda: weyl_wigner_inv(A, grid),
+        lambda: weyl_wigner_inv(A.real.copy(), grid),
+        lambda: wigner_of_state(odd, grid),
+        lambda: wigner_of_state(psi, grid),
+        lambda: purity_residual(W, grid),
+    ]:
+        table, rows = on_both_paths(monkeypatch, compute, pairs)
+        assert np.array_equal(table, rows)
+
+
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("n", [4, 64, 256, 512])
 def test_wigner_of_state_is_the_real_part_of_the_transform(n):
     # bit for bit, signed zeros included: compared through an int64 view
     grid = GridSpec(n, math.sqrt(math.pi / n))
@@ -411,15 +465,19 @@ def test_wigner_pipeline_peaks_are_bounded(tmp_path):
         with open(tmp_path / "w.json", "w") as fh:
             write_phase_json(fh, W, grid)
 
+    basis = hermite_basis(grid, 4)
+    assert wigner._streams(grid.n)  # n = 512 takes the row path
     stages = [
         (lambda: weyl_wigner(K, grid), 1.25),  # the row array, transformed in place
-        (lambda: weyl_wigner_inv(A, grid), 1.75),  # the rows and the n×n kernel
-        (lambda: wigner_of_state(psi, grid), 1.75),  # the transform and its real copy
-        (lambda: purity_residual(W, grid), 1.75),  # kernels freed before the forward transform
-        (lambda: star(A, A, grid), 2.25),
+        (lambda: weyl_wigner_inv(A, grid), 0.75),  # the n×n kernel and one block
+        (lambda: wigner_of_state(psi, grid), 0.75),  # W alone is 0.5: no outer product
+        (lambda: purity_residual(W, grid), 1.25),  # K and K·K; W ⋆ W reduced by blocks
+        (lambda: star(A, A, grid), 1.75),
         (lambda: star_adjoint(A, grid), 1.75),
         (lambda: moyal_bracket(A, B, grid), 2.25),  # two kernels and their two products
         (write_json, 0.05),  # a row of text at a time
+        # the Gram stage of check wigner: five transition symbols and one outer product
+        (lambda: _transition_gram_residual(basis, grid), 5.5),
     ]
     for stage, bound in stages:
         stage()  # the grid's plan is cached before tracing
