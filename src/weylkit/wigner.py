@@ -320,6 +320,202 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# float text: repr, a block at a time
+# ----------------------------------------------------------------------
+#
+# ``_repr_rows`` writes ``repr(float(v))`` for a whole block of floats with
+# numpy operations, in place of one ``repr`` call per value (shortest
+# round-trip digits from scaled fixed-point arithmetic: Steele & White,
+# PLDI 1990; Adams, "Ryū", PLDI 2018).  With e the decade of |v|,
+# y = |v|·10^(16−e) lies in [1e16, 1e17) and is formed as a double-double
+# from a 106-bit power of ten, to within 1e-14.  Its nearest
+# multiples of 100, 10 and 1 are v's nearest 15-, 16- and 17-digit
+# decimals.  repr prints the shortest decimal within half a gap of v, and
+# of equal lengths the nearest; at most one 15-digit decimal fits in the
+# gap (DBL_DIG = 15), and a shorter one padded with zeros would be it.  So
+# the first of the three candidates within half a gap is repr's, and its
+# digits, trailing zeros dropped, are repr's digits.
+#
+# An entry whose choice the error bound cannot settle -- a candidate within
+# _MARGIN of a gap edge, or y within _MARGIN of a rounding tie -- and every
+# entry the argument does not cover -- subnormals, power-of-two mantissas
+# (whose lower half gap is half the upper), |v| beyond 1e±305, nan and ±inf
+# -- is formatted by repr itself.  ±0.0 need no digits.
+
+_MARGIN = 1e-7  # units of y's last digit; y and the half gap err by < 1e-14
+_E_MIN, _E_MAX = -310, 310  # the decades of the power table
+_E16, _E17 = 10**16, 10**17
+_SLOTS = 29  # per value: sign and "0.000" (6), digits and point (18), "e-308" (5)
+
+
+class _ReprTables(NamedTuple):
+    """Lookup tables of ``_repr_rows``, built on first use.
+
+    Row e − _E_MIN of ``high``, ``low`` and ``shift``: 10^(16−e) =
+    (high + low)·2^shift to 106 bits, ``high`` a 53-bit integer and
+    0 ≤ ``low`` < 1.  ``quads[i]``: the four ASCII digits of i < 10⁴.
+    ``prefix[:, 5·sign + z]``: the sign, then "0." and z < 4 zeros (z = 4:
+    none), right-aligned in 6 bytes.  ``tail[:, x + 324]``: "e±XX" or
+    "e±XXX" for the decimal exponent x; its last column is empty.  Unused
+    bytes are 0, which the text drops.
+    """
+
+    high: np.ndarray
+    low: np.ndarray
+    shift: np.ndarray
+    quads: np.ndarray
+    prefix: np.ndarray
+    tail: np.ndarray
+
+
+@functools.cache
+def _repr_tables() -> _ReprTables:
+    mants, shifts = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        x = 10 ** abs(16 - e)
+        if e <= 16:  # 10^(16−e) is an integer: its leading 106 bits
+            shift = x.bit_length() - 106
+            mants.append(x >> shift if shift >= 0 else x << -shift)
+        else:  # 1/x: 2^(bits + 105) // x has 106 bits
+            shift = -(x.bit_length() + 105)
+            mants.append((1 << -shift) // x)
+        shifts.append(shift + 53)
+    high = np.array([float(m >> 53) for m in mants])
+    low = np.array([float(m & ((1 << 53) - 1)) for m in mants]) / 2.0**53
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    quads = np.ascontiguousarray(digits, dtype=np.uint8).view(np.uint32).ravel()
+
+    def text(rows: list, width: int) -> np.ndarray:
+        return np.frombuffer("".join(rows).encode(), np.uint8).reshape(-1, width).T.copy()
+
+    prefix = text([(s + ("0." + "0" * z if z < 4 else "")).rjust(6, "\0")
+                   for s in ("", "-") for z in range(5)], 6)
+    tail = text([f"e{x:+03d}".ljust(5, "\0") for x in range(-324, 309)] + ["\0" * 5], 5)
+    return _ReprTables(high, low, np.array(shifts, np.int32), quads, prefix, tail)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, t: _ReprTables) -> tuple:
+    """y = a·10^(16−e) as J + r (J an int64, 0 ≤ r < 1), and a's half gap in units of y."""
+    m, c = np.frexp(a)
+    row = e - _E_MIN
+    c += t.shift[row]  # int32: numpy's ldexp is far slower on int64 exponents
+    high = t.high[row]
+    err = m * t.low[row]
+    half_gap = np.ldexp(high, c - 54)  # a's ulp is 2^(ex − 53), ex from frexp
+    p = m * high  # Dekker's product: p + (its error) = m·high exactly
+    m_hi = m * 134217729.0  # Veltkamp's split in halves of 26 bits: 2^27 + 1
+    m_hi -= m_hi - m
+    m -= m_hi
+    high_hi = high * 134217729.0
+    high_hi -= high_hi - high
+    high -= high_hi
+    err += ((m_hi * high_hi - p) + m_hi * high + m * high_hi) + m * high
+    p = np.ldexp(p, c)  # an integer: y ≥ 1e16 > 2^53 > p
+    np.ldexp(err, c, out=err)
+    whole = np.floor(err)
+    err -= whole
+    J = p.astype(np.int64)
+    J += whole.astype(np.int64)
+    return J, err, half_gap
+
+
+def _shortest(a: np.ndarray, t: _ReprTables) -> tuple:
+    """repr's digits of the positive floats ``a``: (M, point, ok).
+
+    M has 17 digits, which with trailing zeros dropped are repr's digits,
+    and a = 0.M × 10^point.  Entries where ``ok`` is false are not settled.
+    """
+    e = np.floor(np.log10(a)).astype(np.int64)
+    J, r, h = _scaled(a, e, t)
+    off = np.flatnonzero((J < _E16) | (J > _E17))  # log10 missed the decade
+    if off.size:
+        e[off] += np.where(J[off] > _E17, 1, -1)
+        J[off], r[off], h[off] = _scaled(a[off], e[off], t)
+    M15 = (J + 50) // 100 * 100
+    M16 = (J + 5) // 10 * 10
+    d15 = np.abs((J - M15) + r)
+    d16 = np.abs((J - M16) + r)
+    ok = (J >= _E16) & (J <= _E17) & (np.abs(r - 0.5) > _MARGIN) & (d16 < 5 - _MARGIN)
+    ok &= (np.abs(d15 - h) > _MARGIN) & (np.abs(d16 - h) > _MARGIN)
+    M = np.where(d15 < h, M15, np.where(d16 < h, M16, J + (r >= 0.5)))
+    over = M == _E17  # rounded up to the next decade: its one digit is 1
+    M[over | ~ok] = _E16
+    return M, e + 1 + over, ok
+
+
+def _value_planes(v: np.ndarray) -> tuple:
+    """(planes, ok): byte j of the text of every value in row j of a
+    (_SLOTS, len(v)) array, and whether that text is repr's."""
+    count = v.size
+    if not np.any(v.view(np.uint64) << np.uint64(1)):  # ±0.0 only, as in a wide grid's empty rows
+        planes = np.zeros((_SLOTS, count), np.uint8)
+        planes[5] = np.signbit(v) * np.uint8(ord("-"))
+        planes[6:9] = np.frombuffer(b"0.0", np.uint8)[:, None]
+        return planes, np.ones(count, bool)
+    t = _repr_tables()
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= 1e-305) & (a <= 1e305)  # false for nan and inf
+    fast &= (v.view(np.uint64) & np.uint64((1 << 52) - 1)) != 0  # no power-of-two mantissa
+    np.copyto(a, 1.0, where=~fast)  # 1.0 prints as "1.0"
+    M, point, ok = _shortest(a, t)
+    ok &= fast | zero
+    del a, fast
+    # the 17 digits of M, as five 4-digit groups of which the first holds one
+    groups = np.empty((5, count), np.int32)
+    groups[0] = M // _E16
+    M -= groups[0] * np.int64(_E16)
+    high = M // 10**8
+    M -= high * 10**8
+    groups[1], groups[2] = high // 10**4, high % 10**4
+    groups[3], groups[4] = M // 10**4, M % 10**4
+    del high, M
+    digits = t.quads[groups].view(np.uint8).reshape(5, count, 4)
+    digits = digits.transpose(0, 2, 1).reshape(20, count)[3:]
+    del groups
+    digits[0] -= zero  # "1.0" becomes "0.0"
+    place = np.arange(1, 19, dtype=np.uint8)[:, None]  # uint8 compares: 4× faster
+    n = np.max((digits != ord("0")) * place[:17], axis=0)  # the digits repr prints
+    sci = (point < -3) | (point > 16)  # repr's exponent form
+    # digits past the last printed one are dropped; fixed notation prints
+    # its zeros up to the point and one after it (".0" on an integral value)
+    digits *= place[:17] <= np.where(sci, n, np.maximum(n, point + 1)).astype(np.uint8)
+    # the point follows digit ``dot`` (18: no point among the digits)
+    dot = np.where(sci, np.where(n > 1, 1, 18), np.where(point >= 1, point, 18))
+    dot = dot.astype(np.uint8)
+    planes = np.empty((_SLOTS, count), np.uint8)
+    body = planes[6:24]
+    body[:17] = digits
+    body[17] = 0
+    np.copyto(body[1:], digits, where=place[:17] > dot)
+    np.copyto(body, ord("."), where=place - 1 == dot)
+    lead = np.where(~sci & (point <= 0), -point, 4) + 5 * np.signbit(v)
+    np.take(t.prefix, lead, axis=1, out=planes[:6])
+    np.take(t.tail, np.where(sci, point + 323, -1), axis=1, out=planes[24:])
+    return planes, ok
+
+
+def _repr_rows(rows: np.ndarray, sep: str, end: str) -> str:
+    """Text of a 2-d float block: each row's ``repr(float(v))`` joined by
+    ``sep``, each row followed by ``end`` (ASCII separators)."""
+    v = np.ascontiguousarray(rows, dtype=float).ravel()
+    planes, ok = _value_planes(v)
+    # one line of bytes per value: its text, then its separator
+    seps = np.zeros((rows.shape[-1], max(len(sep), len(end))), np.uint8)
+    seps[:-1, : len(sep)] = np.frombuffer(sep.encode(), np.uint8)
+    seps[-1, : len(end)] = np.frombuffer(end.encode(), np.uint8)
+    text = np.empty((v.size, _SLOTS + seps.shape[1]), np.uint8)
+    text[:, :_SLOTS] = planes.T
+    del planes
+    text[:, _SLOTS:].reshape(-1, *seps.shape)[...] = seps
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        fallback = "".join(repr(x).ljust(_SLOTS, "\0") for x in v[slow].tolist())
+        text[slow, :_SLOTS] = np.frombuffer(fallback.encode(), np.uint8).reshape(-1, _SLOTS)
+    return text.tobytes().translate(None, b"\0").decode()  # unused bytes are 0
+
+
+# ----------------------------------------------------------------------
 # serialization: CSV and JSON
 # ----------------------------------------------------------------------
 #
@@ -327,12 +523,19 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
 # first.  CSV: the header "# axes q:<2n>:<dq> p:<n>:<dp>" (a kernel's is
 # "x:<n>:<dx> y:<n>:<dx>"), then one "re,im" line per entry in row-major
 # order.  JSON: {"grid", "axes", "re", "im"}, as canonical text: sorted
-# keys, no spaces, no NaN or inf.  Floats serialize via repr and so
-# round-trip bit-exactly; a real array writes an exact 0.0 as im.  The
-# writers work a row at a time: the text of the whole array at once would
-# set the peak memory.
+# keys, no spaces, no NaN or inf.  Floats serialize as their repr text
+# (``_repr_rows``) and so round-trip bit-exactly; a real array writes an
+# exact 0.0 as im.  The writers format a block of rows at a time: the text
+# of the whole array at once would set the peak memory.
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_TEXT_BLOCK = 2048  # floats formatted at once
+
+
+def _text_blocks(rows: np.ndarray, per_entry: int = 1):
+    """Blocks of whole rows of a 2-d array, about _TEXT_BLOCK floats each."""
+    step = max(1, _TEXT_BLOCK // (rows.shape[1] * per_entry))
+    return (rows[r0 : r0 + step] for r0 in range(0, len(rows), step))
 
 
 def _axes(kind: str, grid: GridSpec) -> dict:
@@ -358,12 +561,13 @@ def _write_csv(fh, data: np.ndarray, grid: GridSpec, kind: str):
     axes = " ".join(f"{name}:{count}:{step!r}" for name, (count, step) in _axes(kind, grid).items())
     fh.write(f"# axes {axes}\n")
     data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
-    if np.iscomplexobj(data):
-        for row in data.reshape(-1, grid.n):
-            fh.write("".join(map("{!r},{!r}\n".format, row.real.tolist(), row.imag.tolist())))
-    else:  # one join per row, with the exact 0.0 of every im as its separator
-        for row in data.reshape(-1, grid.n):
-            fh.write(",0.0\n".join(map(repr, row.tolist())) + ",0.0\n")
+    rows = data.reshape(-1, grid.n)
+    if np.iscomplexobj(data):  # each entry as its (re, im) pair of floats
+        for block in _text_blocks(rows, 2):
+            fh.write(_repr_rows(np.ascontiguousarray(block).view(float).reshape(-1, 2), ",", "\n"))
+    else:  # the exact 0.0 of every im is part of the separator
+        for block in _text_blocks(rows):
+            fh.write(_repr_rows(block.reshape(-1, 1), "", ",0.0\n"))
 
 
 def _read_csv(fh, kind: str) -> tuple:
@@ -409,15 +613,23 @@ def _to_json(data: np.ndarray, grid: GridSpec, kind: str) -> dict:
     return {**_header(grid, kind), "re": data.real.tolist(), "im": im}
 
 
+def _json_rows(part: np.ndarray):
+    """The rows of a 2-d float array as JSON lists, one text per block of rows."""
+    for block in _text_blocks(part):
+        if not np.isfinite(block).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        yield "[" + _repr_rows(block, ",", "],[")[:-2]
+
+
 def _write_json(fh, data: np.ndarray, grid: GridSpec, kind: str):
     """The canonical text of ``_to_json(data, grid, kind)`` and a newline."""
     data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
     encode = _CANONICAL.encode
     if np.iscomplexobj(data):
-        im = (encode(row.tolist()) for row in data.imag)
+        im = _json_rows(data.imag)
     else:  # exact zeros: one row of text, written for every row
         im = itertools.repeat(encode([0.0] * data.shape[1]), data.shape[0])
-    re = (encode(row.tolist()) for row in data.real)
+    re = _json_rows(data.real)
     fh.write(encode(_header(grid, kind))[:-1])  # left open: sorted keys put "im" and "re" last
     for key, rows in (("im", im), ("re", re)):
         fh.write(f',"{key}":[')
@@ -431,8 +643,14 @@ def _from_json(payload, kind: str) -> tuple:
     if isinstance(payload, str):
         payload = json.loads(payload)
     try:
-        grid = GridSpec(payload["grid"]["n"], float(payload["grid"]["dx"]))
-        re, im = (np.asarray(payload[part], dtype=float) for part in ("re", "im"))
+        dx = payload["grid"]["dx"]
+        if isinstance(dx, bool) or not isinstance(dx, (int, float)):
+            raise TypeError(f"grid dx {dx!r} is not a number")
+        grid = GridSpec(payload["grid"]["n"], float(dx))
+        # JSON numbers only: null, true, false and strings make other dtypes
+        re, im = (np.asarray(payload[part]) for part in ("re", "im"))
+        if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+            raise TypeError(f"re and im must hold numbers, not {re.dtype} and {im.dtype}")
         # a JSON object's members carry no order: take the grid's axis names first
         axes = {**dict.fromkeys(_axes(kind, grid)), **payload["axes"]}
         stated = {name: (axis["count"], axis["step"]) for name, axis in axes.items()}

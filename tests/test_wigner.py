@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import subprocess
 import sys
 import tracemalloc
 
@@ -37,7 +38,7 @@ from weylkit.wigner import (
     write_phase_json,
 )
 from weylkit.checks import _transition_gram_residual
-from weylkit.cli import canonical_json
+from weylkit.cli import _parse_state, canonical_json
 from weylkit.star import _compose
 
 GRID = GridSpec(64, 0.25)
@@ -393,6 +394,73 @@ def test_phase_csv_rows_are_the_repr_of_each_value():
     assert all(line.endswith(",0.0") for line in body.splitlines())
 
 
+# the variant-0 states of the ``cli`` benchmark's n = 64, 256 and 512 wigner requests
+_CLI_STATES = {
+    64: "(0.294-0.787j)*hermite:2+(-0.297-0.852j)*hermite:5+(-0.218+0.663j)*hermite:7",
+    256: "(-0.652-0.779j)*hermite:0+(-0.505-0.712j)*hermite:7",
+    512: "(-0.638+0.781j)*hermite:1+(-0.200+0.736j)*hermite:4",
+}
+
+
+def _repr_edges() -> list:
+    edges = [0.0, 5e-324, 2.5e-310, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, 9.999999999999999e-05, math.nan, math.inf]
+    centres = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    centres += [1e-4, 1e-5, 1e16, 1e17]
+    for x in centres:
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+    return edges + [-x for x in edges]
+
+
+def test_repr_rows_is_repr_byte_for_byte():
+    rng = np.random.default_rng(2024)
+    normals = rng.standard_normal(200_000)
+    sets = {
+        "bit patterns": rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+        "standard normals": normals,
+        "rounded to 0-16 decimals": [
+            round(x, d) for x, d in zip((normals[:50_000] * 1e3).tolist(), rng.integers(0, 17, 50_000))
+        ],
+        "Ne±E literals": [
+            float(f"{m}e{e}")
+            for m, e in zip(rng.integers(1, 10 ** rng.integers(1, 18, 50_000)), rng.integers(-330, 311, 50_000))
+        ],
+        "edges": _repr_edges(),
+        "zeros only": [0.0, -0.0] * 8,
+    }
+    for n, spec in _CLI_STATES.items():
+        grid = GridSpec(n, math.sqrt(math.pi / n))
+        psi = _parse_state(spec, grid, 8)
+        sets[f"cli wigner n = {n}"] = wigner_of_state(psi / (math.sqrt(grid.dx) * np.linalg.norm(psi)), grid)
+    for name, values in sets.items():
+        values = np.asarray(values, dtype=float).ravel()
+        lines = wigner._repr_rows(values.reshape(-1, 1), "", "\n").split("\n")
+        assert lines.pop() == ""
+        expected = [repr(v) for v in values.tolist()]
+        mismatched = [(e, line) for e, line in zip(expected, lines) if e != line]
+        assert len(lines) == len(expected) and not mismatched, (name, mismatched[:5])
+    # rows joined by one separator and ended by another
+    block = normals[:60].reshape(5, 12)
+    expected = "".join(",".join(map(repr, row)) + "],[" for row in block.tolist())
+    assert wigner._repr_rows(block, ",", "],[") == expected
+
+
+def test_import_builds_no_repr_table():
+    # only a request that writes an array pays for the power-of-ten table
+    code = (
+        "import weylkit, weylkit.cli as cli, weylkit.wigner as w\n"
+        "assert w._repr_tables.cache_info().currsize == 0\n"
+        "cli.main(['check', 'symweyl', '--out', {out!r}])\n"
+        "assert w._repr_tables.cache_info().currsize == 0\n"
+    )
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as out:
+        done = subprocess.run([sys.executable, "-c", code.format(out=out)],
+                              capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_phase_csv_is_written_a_row_at_a_time(tmp_path):
     # the text of the whole n = 256 array (131,072 entries) takes well
     # over 4 MiB; one row of it takes about 10 KiB
@@ -465,6 +533,10 @@ def test_wigner_pipeline_peaks_are_bounded(tmp_path):
         with open(tmp_path / "w.json", "w") as fh:
             write_phase_json(fh, W, grid)
 
+    def write_csv():
+        with open(tmp_path / "w.csv", "w") as fh:
+            write_phase_csv(fh, W, grid)
+
     basis = hermite_basis(grid, 4)
     assert wigner._streams(grid.n)  # n = 512 takes the row path
     stages = [
@@ -475,7 +547,8 @@ def test_wigner_pipeline_peaks_are_bounded(tmp_path):
         (lambda: star(A, A, grid), 1.75),
         (lambda: star_adjoint(A, grid), 1.75),
         (lambda: moyal_bracket(A, B, grid), 2.25),  # two kernels and their two products
-        (write_json, 0.05),  # a row of text at a time
+        (write_json, 0.05),  # a block of rows of text at a time
+        (write_csv, 0.05),
         # the Gram stage of check wigner: five transition symbols and one outer product
         (lambda: _transition_gram_residual(basis, grid), 5.5),
     ]
@@ -532,6 +605,31 @@ def test_json_reader_keeps_an_infinite_im_as_the_csv_reader_does():
     assert from_json[0, 0].real == 1.0 and from_json[0, 0].imag == math.inf
     assert np.array_equal(from_json, from_csv)
     assert np.array_equal(from_json, K)
+
+
+def test_json_readers_refuse_entries_that_are_not_numbers():
+    grid = GridSpec(4, 1.0)
+    for reader, payload in ((phase_from_json, phase_to_json(np.zeros(grid.phase_shape), grid)),
+                            (kernel_from_json, kernel_to_json(np.zeros(grid.kernel_shape), grid))):
+        text = json.dumps(payload)
+
+        def read(edit):
+            changed = json.loads(text)
+            edit(changed)
+            return reader(json.dumps(changed))
+
+        for key in ("re", "im"):
+            for bad in (None, True, False, "1.0"):
+                with pytest.raises(ValueError):
+                    read(lambda p: p.update({key: [[bad] * len(row) for row in p[key]]}))
+            with pytest.raises(ValueError):  # one null among numbers
+                read(lambda p: p[key][0].__setitem__(0, None))
+        for dx in ("1.0", True, None, [1.0]):
+            with pytest.raises(ValueError):
+                read(lambda p: p["grid"].update(dx=dx))
+        # integers are JSON numbers
+        data, read_grid = read(lambda p: (p["grid"].update(dx=1), p.update(re=[[1] * len(row) for row in p["re"]])))
+        assert read_grid == grid and np.all(data == 1.0)
 
 
 def test_json_shape_and_axes_validation():
