@@ -7,13 +7,19 @@ configuration-space operators, kernel-function machinery for the
 two-point-function route, and worked symmetry-group examples.
 
 Each module's ``__all__`` states its public names; the package exports them
-all, module by module in import order.
+all, module by module in the order of ``_MODULES``.  ``import weylkit``
+loads none of the modules: the first use of a name imports them in that
+order until one lists it, and the name is then kept in the package
+namespace, so a request loads only the layer it uses.  Reading ``__all__``,
+as ``from weylkit import *`` does, loads every module.
 """
 
 from __future__ import annotations
 
+import importlib as _importlib
 import os as _os
 import sys as _sys
+import types as _types
 
 # numpy's OpenBLAS reads its environment once, at load, and by default an idle
 # worker busy-waits 2**28 cycles (~0.1 s of CPU) then and after each threaded
@@ -26,22 +32,35 @@ if "numpy" not in _sys.modules:
 
 __version__ = "0.1.0"
 
-from .rational import *
-from .symbols import *
-from .diffops import *
-from .lift import *
-from .grids import *
-from .wigner import *
-from .star import *
-from .factorize import *
-from .groups import *
-from ._exclusions import *
-from .checks import *
+_MODULES = ("rational", "symbols", "diffops", "lift", "grids", "wigner",
+            "star", "factorize", "groups", "_exclusions", "checks")
 
-# by name: the star import of .star rebinds ``star`` to the function
-__all__ = ["__version__"] + [
-    name
-    for module in ("rational", "symbols", "diffops", "lift", "grids", "wigner",
-                   "star", "factorize", "groups", "_exclusions", "checks")
-    for name in _sys.modules[f"{__name__}.{module}"].__all__
-]
+
+def _module(name: str):
+    return _importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:  # importing a submodule binds it here
+        _module(name)
+        return globals()[name]
+    if name == "__all__":
+        value = ["__version__"] + [n for m in _MODULES for n in _module(m).__all__]
+    else:
+        owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+class _Package(_types.ModuleType):
+    def __setattr__(self, name, value):
+        # the ``star`` submodule is bound here on import; the name is its function's
+        if name == "star" and isinstance(value, _types.ModuleType):
+            value = value.star
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

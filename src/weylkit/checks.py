@@ -9,57 +9,14 @@ grid-based identities carry their measured floating-point residual.
 Reports are deterministic functions of (suite, seed, grid, tol): random
 draws come from a seeded generator and nothing time- or path-dependent is
 recorded, so serializing the same report twice gives identical bytes.
+Each suite imports its own layer, so running one loads only that layer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .diffops import DiffOp
 from .grids import GridSpec, hermite_basis, inner_k
-from .groups import (
-    Sp2Params,
-    galilei_factorize,
-    hw_factorize,
-    sp2_generators,
-    time_reversal_check,
-    tower_factorization,
-)
-from .lift import (
-    PHASE_VARS,
-    potential_generator,
-    split_test,
-    table1_check,
-    xi_lift,
-    xi_monomial,
-    z_conjugate,
-    read_off_generator,
-)
-from .rational import CRat, I
-from .star import (
-    identity_phase,
-    moyal_bracket,
-    purity_residual,
-    star,
-    star_adjoint,
-    star_twisted_oracle,
-    star_unitary_residual,
-)
-from .symbols import (
-    NCPoly,
-    PolySymbol,
-    format_symbol,
-    moyal_symbolic,
-    nc_normalize,
-    parse_symbol,
-    poisson_bracket,
-    star_symbolic,
-    weyl_quantize,
-    weyl_symbol,
-)
-from .wigner import parity, weyl_wigner, weyl_wigner_inv, wigner_of_state
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -135,6 +92,7 @@ def _maxabs(a) -> float:
 
 def _transform_residuals(rng, grid: GridSpec) -> tuple:
     """Round trips, inner products and transposition over five random kernel pairs."""
+    from .wigner import parity, weyl_wigner, weyl_wigner_inv
     round_k = round_p = parseval = transpose = 0.0
     for _ in range(5):
         K1 = _random_kernel(rng, grid)
@@ -159,6 +117,7 @@ def _transform_residuals(rng, grid: GridSpec) -> tuple:
 
 def _state_residuals(basis, grid: GridSpec) -> tuple:
     """Ground state against its closed form; the first excited state at the origin."""
+    from .wigner import wigner_of_state
     gauss = np.exp(-(grid.q_matrix() ** 2) - grid.p_matrix() ** 2) / np.pi
     ground = _maxabs(wigner_of_state(basis[0], grid) - gauss)
     origin = abs(wigner_of_state(basis[1], grid)[grid.n, grid.n // 2] + 1 / np.pi)
@@ -173,6 +132,7 @@ def _transition_gram_residual(basis, grid: GridSpec) -> float:
     is the same float, but at most five symbols are alive: a group of four
     is held while every later symbol passes by once (40 transforms, not 16).
     """
+    from .wigner import weyl_wigner
     width = 4
     labels = [(r, s) for r in range(len(basis)) for s in range(len(basis))]
 
@@ -197,6 +157,8 @@ def _transition_gram_residual(basis, grid: GridSpec) -> float:
 
 
 def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
+    from .star import identity_phase
+    from .wigner import parity, weyl_wigner
     # each stage in its own function, so that its arrays are freed before the next
     grid = grid or GridSpec(64, 0.25)
     rng = _rng("wigner", seed)
@@ -243,6 +205,9 @@ def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
 
 
 def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
+    from .star import (identity_phase, moyal_bracket, purity_residual, star, star_adjoint,
+                       star_twisted_oracle, star_unitary_residual)
+    from .wigner import weyl_wigner, wigner_of_state
     # dx ~ sqrt(pi/n) balances position and momentum ranges, keeping
     # Gaussian tails below the purity tolerance
     grid = grid or GridSpec(32, 0.3125)
@@ -320,7 +285,10 @@ def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _random_symbol(rng, degree: int, *, real: bool = False) -> PolySymbol:
+def _random_symbol(rng, degree: int, *, real: bool = False):
+    from fractions import Fraction
+    from .rational import CRat
+    from .symbols import PolySymbol
     out = PolySymbol.zero()
     for _ in range(4):
         m = int(rng.integers(0, degree + 1))
@@ -331,7 +299,10 @@ def _random_symbol(rng, degree: int, *, real: bool = False) -> PolySymbol:
     return out
 
 
-def _random_operator(rng, degree: int) -> NCPoly:
+def _random_operator(rng, degree: int):
+    from fractions import Fraction
+    from .rational import CRat
+    from .symbols import NCPoly
     out = NCPoly.zero()
     for _ in range(4):
         length = int(rng.integers(0, degree + 1))
@@ -343,6 +314,10 @@ def _random_operator(rng, degree: int) -> NCPoly:
 
 
 def _run_symweyl(seed: int, tol, grid) -> dict:
+    from fractions import Fraction
+    from .rational import CRat, I
+    from .symbols import (PolySymbol, format_symbol, moyal_symbolic, nc_normalize, parse_symbol,
+                          poisson_bracket, star_symbolic, weyl_quantize, weyl_symbol)
     rng = _rng("symweyl", seed)
 
     sym_round = op_round = hom = parse_round = True
@@ -393,6 +368,11 @@ def _run_symweyl(seed: int, tol, grid) -> dict:
 
 
 def _run_liftgen(seed: int, tol, grid) -> dict:
+    from .diffops import DiffOp
+    from .lift import (PHASE_VARS, potential_generator, read_off_generator, split_test,
+                       table1_check, xi_lift, xi_monomial, z_conjugate)
+    from .rational import I
+    from .symbols import PolySymbol, moyal_symbolic
     rng = _rng("liftgen", seed)
 
     closed_form = all(
@@ -472,6 +452,8 @@ def _run_liftgen(seed: int, tol, grid) -> dict:
 
 
 def _run_reps(seed: int, tol, grid) -> dict:
+    from .groups import (Sp2Params, galilei_factorize, hw_factorize, sp2_generators,
+                         time_reversal_check, tower_factorization)
     examples = []
     invariants = []
 

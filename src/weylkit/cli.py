@@ -4,7 +4,8 @@ Every run emits a canonical JSON report (sorted keys, compact separators,
 no timestamps) embedding the effective config, the seed, and the tool
 version, so identical config + seed reproduce byte-identical reports.
 Array outputs are written in the CSV or JSON layouts of
-:mod:`weylkit.wigner`; reports themselves are always JSON.
+:mod:`weylkit.wigner`; reports themselves are always JSON.  Each command
+imports the layers it uses, so a grid request loads no exact module.
 
 Exit codes: 0 success, 1 invariant failure or gate refusal, 2 usage error
 (including a grid size n above ``_GRID_N_MAX``, an ``--out`` that is not
@@ -23,25 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITE_NAMES, run_all, run_suite
-from .factorize import (
-    _DENSE_N_MAX,
-    _STEP,
-    _THRESHOLD,
-    GaussianAlphaSpec,
-    _check_mesh,
-    alpha_kernel_from_A,
-    autv_residual,
-    recover_A,
-)
-from .grids import GridSpec, hermite_basis
-from .star import purity_residual, star
-from .wigner import (
-    _CANONICAL,
-    weyl_wigner,
-    wigner_of_state,
-    write_phase_csv,
-    write_phase_json,
-)
+from .grids import _CANONICAL, GridSpec, hermite_basis
 
 __all__ = ["RunConfig", "main"]
 
@@ -203,6 +186,7 @@ def _emit_report(name: str, report: dict, config: RunConfig) -> None:
 
 
 def _write_phase_array(stem: str, A, grid: GridSpec, config: RunConfig) -> str:
+    from .wigner import write_phase_csv, write_phase_json
     name = f"{stem}.{config.format}"
     with open(_out_dir(config) / name, "w") as fh:
         (write_phase_csv if config.format == "csv" else write_phase_json)(fh, A, grid)
@@ -336,6 +320,8 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
     if norm == 0.0:
         raise UsageError("state is identically zero")
     psi = psi / norm  # unit norm: dx * sum |psi|^2 = 1
+    from .star import purity_residual  # here: a bad state loads no grid layer
+    from .wigner import wigner_of_state
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         W = wigner_of_state(psi, grid)
         r1, r2 = purity_residual(W, grid)
@@ -405,13 +391,14 @@ def _write_recovered(values, ticks, config: RunConfig) -> str:
     return name
 
 
-def _grid_consistency(spec: GaussianAlphaSpec, n: int, seed: int) -> float:
+def _grid_consistency(spec, n: int, seed: int) -> float:
     """Residual between the gridded forward map and the closed-form kernel.
 
-    Samples the generating symbol on an n-point grid, rebuilds the
-    two-point kernel from the samples, and compares it with the closed
-    form at random shift-aligned point pairs.
+    Samples the generating symbol of ``spec``, a ``GaussianAlphaSpec``, on
+    an n-point grid, rebuilds the two-point kernel from the samples, and
+    compares it with the closed form at random shift-aligned point pairs.
     """
+    from .factorize import alpha_kernel_from_A
     grid = GridSpec(n, float(np.sqrt(np.pi / n)))
     qs, ps = grid.q_matrix(), grid.p_matrix()
     samples = spec.a_function(qs, ps)
@@ -430,6 +417,8 @@ def _grid_consistency(spec: GaussianAlphaSpec, n: int, seed: int) -> float:
 
 
 def cmd_factorize(args, config: RunConfig, explicit) -> int:
+    from .factorize import (_DENSE_N_MAX, _STEP, _THRESHOLD, GaussianAlphaSpec, _check_mesh,
+                            autv_residual, recover_A)
     try:
         spec = GaussianAlphaSpec(args.tau, args.sigma, args.epsilon)
         _check_mesh(spec.r_function())  # before any quadrature allocates
@@ -509,6 +498,8 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
 
 
 def cmd_star_demo(args, config: RunConfig, explicit) -> int:
+    from .star import purity_residual, star
+    from .wigner import weyl_wigner, wigner_of_state
     grid = (
         _grid(config)
         if explicit & {"n", "dx"}

@@ -10,6 +10,7 @@ dp/2 on the odd-parity rows.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import warnings
@@ -18,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["GridSpec", "hermite_basis", "inner_h", "inner_k"]
+
+# the canonical JSON text of reports and array archives: sorted keys, no spaces, no NaN or inf
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import _CANONICAL, GridSpec
 
 __all__ = [
     "weyl_wigner",
@@ -528,7 +528,6 @@ def _repr_rows(rows: np.ndarray, sep: str, end: str) -> str:
 # exact 0.0 as im.  The writers format a block of rows at a time: the text
 # of the whole array at once would set the peak memory.
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 _TEXT_BLOCK = 2048  # floats formatted at once
 
 

@@ -1,4 +1,5 @@
-"""The package namespace: the modules' own ``__all__`` lists, exported once,
+"""The package namespace: the modules' own ``__all__`` lists, exported once
+and loaded on first use, each CLI request loading only the layer it uses,
 no module importing a name it never uses, and the BLAS default the package
 sets before numpy loads."""
 
@@ -77,18 +78,25 @@ def test_numpy_floor_is_at_least_2_0():
     assert int(floor.split(".")[0]) >= 2
 
 
-def _timeout_after(statement, preset=None):
-    """OPENBLAS_THREAD_TIMEOUT in a fresh interpreter after ``statement``."""
+def _fresh(code, preset=None):
+    """What ``code`` prints in a fresh interpreter; ``preset`` is its
+    OPENBLAS_THREAD_TIMEOUT, unset if None."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     env["PYTHONPATH"] = str(Path(weylkit.__file__).parents[1])
     if preset is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    code = f"import os; {statement}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
+
+
+def _timeout_after(statement, preset=None):
+    """OPENBLAS_THREAD_TIMEOUT in a fresh interpreter after ``statement``."""
+    return _fresh(
+        f"import os; {statement}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))", preset
+    )
 
 
 def test_import_sets_the_openblas_thread_timeout_before_numpy_loads():
@@ -101,6 +109,90 @@ def test_a_preset_openblas_thread_timeout_is_kept():
 
 def test_numpy_loaded_first_leaves_the_environment_alone():
     assert _timeout_after("import numpy, weylkit") == "None"
+
+
+# the weylkit modules a fresh process holds after ``main(argv)``: ``cli`` and
+# the ``checks`` and ``grids`` it imports at its top (numpy alone beyond
+# them), then the grid layer, the exact layer or both, as the request uses them
+_GRID = "checks cli grids star wigner"
+_EXACT = "checks cli grids rational symbols"
+_LOADED_BY = {
+    "wigner hermite:1": _GRID,
+    "star-demo": _GRID,
+    "check wigner": _GRID,
+    "check star": _GRID,
+    "check symweyl": _EXACT,
+    "check liftgen": _EXACT + " diffops lift",
+    "check reps": _EXACT + " diffops groups lift wigner",
+    "reps": _EXACT + " diffops groups lift wigner",
+    "check all": _EXACT + " diffops groups lift star wigner",
+    "factorize --tau 1 --sigma 1 --epsilon 1": _GRID + " factorize",
+    "factorize --tau 1 --sigma 1 --epsilon 1 --grid-n 16": _GRID + " factorize",
+    "wigner hermite:99": "checks cli grids",  # a usage error, found before any work
+    "check nosuch": "checks cli grids",  # refused by the parser
+}
+
+
+@pytest.mark.parametrize("argv", _LOADED_BY)
+def test_each_request_loads_only_the_layer_it_uses(argv, tmp_path):
+    printed = _fresh(
+        "import contextlib, io, sys\n"
+        "from weylkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    main({argv.split()!r} + ['--out', {str(tmp_path)!r}])\n"
+        "print(' '.join(sorted(m[8:] for m in sys.modules if m.startswith('weylkit.'))))"
+    )
+    assert printed.split() == sorted(_LOADED_BY[argv].split())
+
+
+def test_an_exact_name_loads_no_numpy():
+    printed = _fresh(
+        "import sys, weylkit\n"
+        "before = 'PolySymbol' in vars(weylkit)\n"
+        "cls = weylkit.PolySymbol\n"
+        "from weylkit.symbols import PolySymbol\n"
+        "print(before, vars(weylkit)['PolySymbol'] is cls is PolySymbol, 'numpy' in sys.modules)"
+    )
+    # not there before its first use, then kept in the package namespace
+    assert printed == "False True False"
+
+
+# what runs before ``weylkit.star`` is first read
+_BEFORE_STAR = {
+    "nothing": "pass",
+    "import": "import weylkit.star",
+    "star-demo": "import weylkit.cli; weylkit.cli.main(['star-demo', '--out', {out!r}])",
+}
+
+
+@pytest.mark.parametrize("before", _BEFORE_STAR)
+def test_star_is_the_function_whichever_import_comes_first(before, tmp_path):
+    printed = _fresh(
+        "import contextlib, io, sys, weylkit\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {_BEFORE_STAR[before].format(out=str(tmp_path))}\n"
+        "print(weylkit.star is sys.modules['weylkit.star'].star)"
+    )
+    assert printed == "True"
+
+
+def test_a_submodule_resolves_on_first_access():
+    printed = _fresh(
+        "import sys, types, weylkit\n"
+        "before = 'weylkit.wigner' in sys.modules\n"
+        "print(before, isinstance(weylkit.wigner, types.ModuleType), "
+        "weylkit.wigner.write_phase_csv.__module__, 'weylkit.symbols' in sys.modules)"
+    )
+    assert printed == "False True weylkit.wigner False"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    printed = _fresh(
+        "import weylkit\n"
+        "try:\n    weylkit.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)"
+    )
+    assert printed == "module 'weylkit' has no attribute 'no_such_name'"
 
 
 _MODULE_FILES = sorted(

@@ -2,14 +2,19 @@
 
 ``perfbench/tracing.py`` rebinds each function it lists; a rename or a
 deletion in the package would break ``perfbench/run.py --trace 1`` without
-failing anything else, so every name it lists must resolve.
+failing anything else, so every name it lists must resolve, and the
+benchmark's own self-test, which rebinds and restores every binding that
+``import weylkit.cli`` and the target modules make, must pass.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -38,3 +43,9 @@ def test_crat_init_is_wrappable():
     from weylkit.rational import CRat
 
     assert "__init__" in CRat.__dict__
+
+
+def test_perfbench_selftest_passes():
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
