@@ -11,7 +11,8 @@ all, module by module in the order of ``_MODULES``.  ``import weylkit``
 loads none of the modules: the first use of a name imports them in that
 order until one lists it, and the name is then kept in the package
 namespace, so a request loads only the layer it uses.  Reading ``__all__``,
-as ``from weylkit import *`` does, loads every module.
+as ``from weylkit import *`` does, loads every module, and so does a public
+name that no module lists, before it raises ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def __getattr__(name: str):
     if name == "__all__":
         value = ["__version__"] + [n for m in _MODULES for n in _module(m).__all__]
     else:
-        owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+        # no module lists a private name, so a probe such as ``__wrapped__`` loads nothing
+        modules = () if name.startswith("_") else map(_module, _MODULES)
+        owner = next((m for m in modules if name in m.__all__), None)
         if owner is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
         value = getattr(owner, name)

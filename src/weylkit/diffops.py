@@ -133,22 +133,12 @@ class DiffOp(_TermMap):
 
     # -- queries ----------------------------------------------------------
 
-    def derivative_order(self) -> int:
-        """Highest total derivative order appearing (-1 for the zero operator)."""
-        return max((sum(der) for (_, der) in self.terms), default=-1)
-
     def constant_part(self) -> CRat:
         d = len(self.variables)
         return self.terms.get(((0,) * d, (0,) * d), CRat(0))
 
     def coefficient(self, mult, der) -> CRat:
         return self.terms.get((tuple(mult), tuple(der)), CRat(0))
-
-    def truncate_order(self, max_order: int) -> "DiffOp":
-        """Drop every term whose total derivative order exceeds max_order."""
-        return self._new(
-            {k: c for k, c in self.terms.items() if sum(k[1]) <= max_order}
-        )
 
     # -- actions ----------------------------------------------------------
 

@@ -64,12 +64,8 @@ __all__ = [
     "write_phase_csv",
     "read_phase_csv",
     "write_phase_json",
-    "write_kernel_csv",
-    "read_kernel_csv",
     "phase_to_json",
     "phase_from_json",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 
@@ -519,14 +515,14 @@ def _repr_rows(rows: np.ndarray, sep: str, end: str) -> str:
 # serialization: CSV and JSON
 # ----------------------------------------------------------------------
 #
-# An archive states the axes of its array as ``_axes`` gives them, rows
-# first.  CSV: the header "# axes q:<2n>:<dq> p:<n>:<dp>" (a kernel's is
-# "x:<n>:<dx> y:<n>:<dx>"), then one "re,im" line per entry in row-major
-# order.  JSON: {"grid", "axes", "re", "im"}, as canonical text: sorted
-# keys, no spaces, no NaN or inf.  Floats serialize as their repr text
-# (``_repr_rows``) and so round-trip bit-exactly; a real array writes an
-# exact 0.0 as im.  The writers format a block of rows at a time: the text
-# of the whole array at once would set the peak memory.
+# An archive states the axes of its phase array as ``_axes`` gives them,
+# rows first.  CSV: the header "# axes q:<2n>:<dq> p:<n>:<dp>", then one
+# "re,im" line per entry in row-major order.  JSON: {"grid", "axes", "re",
+# "im"}, as canonical text: sorted keys, no spaces, no NaN or inf.  Floats
+# serialize as their repr text (``_repr_rows``) and so round-trip
+# bit-exactly; a real array writes an exact 0.0 as im.  The writers format
+# a block of rows at a time: the text of the whole array at once would set
+# the peak memory.
 
 _TEXT_BLOCK = 2048  # floats formatted at once
 
@@ -537,31 +533,44 @@ def _text_blocks(rows: np.ndarray, per_entry: int = 1):
     return (rows[r0 : r0 + step] for r0 in range(0, len(rows), step))
 
 
-def _axes(kind: str, grid: GridSpec) -> dict:
-    """Name -> (count, step) of the axes of a "phase" or "kernel" array on ``grid``."""
-    if kind == "phase":
-        return {"q": (2 * grid.n, grid.dx / 2), "p": (grid.n, grid.dp)}
-    return {"x": (grid.n, grid.dx), "y": (grid.n, grid.dx)}
+def _axes(grid: GridSpec) -> dict:
+    """Name -> (count, step) of the axes of a phase array on ``grid``."""
+    return {"q": (2 * grid.n, grid.dx / 2), "p": (grid.n, grid.dp)}
 
 
-def _check_axes(stated: dict, kind: str, grid: GridSpec) -> tuple:
-    """Require the ``stated`` axes to be those of a ``kind`` array on ``grid``: the same
+def _check_axes(stated: dict, grid: GridSpec) -> tuple:
+    """Require the ``stated`` axes to be those of a phase array on ``grid``: the same
     names in order, equal counts, steps equal to a relative 1e-12.  Returns its shape."""
-    expected = _axes(kind, grid)
+    expected = _axes(grid)
     if list(stated) != list(expected) or any(
         stated[name][0] != count or not math.isclose(stated[name][1], step, rel_tol=1e-12)
         for name, (count, step) in expected.items()
     ):
-        raise ValueError(f"axes {stated} are not those of a {kind} array on {grid}: {expected}")
-    return tuple(count for count, _ in expected.values())
+        raise ValueError(f"axes {stated} are not those of a phase array on {grid}: {expected}")
+    return grid.phase_shape
 
 
-def _write_csv(fh, data: np.ndarray, grid: GridSpec, kind: str):
-    axes = " ".join(f"{name}:{count}:{step!r}" for name, (count, step) in _axes(kind, grid).items())
+def _header(grid: GridSpec) -> dict:
+    return {
+        "grid": {"n": grid.n, "dx": grid.dx},
+        "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(grid).items()},
+    }
+
+
+def _json_rows(part: np.ndarray):
+    """The rows of a 2-d float array as JSON lists, one text per block of rows."""
+    for block in _text_blocks(part):
+        if not np.isfinite(block).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        yield "[" + _repr_rows(block, ",", "],[")[:-2]
+
+
+def write_phase_csv(fh, A: np.ndarray, grid: GridSpec):
+    axes = " ".join(f"{name}:{count}:{step!r}" for name, (count, step) in _axes(grid).items())
     fh.write(f"# axes {axes}\n")
-    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
-    rows = data.reshape(-1, grid.n)
-    if np.iscomplexobj(data):  # each entry as its (re, im) pair of floats
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    rows = A.reshape(-1, grid.n)
+    if np.iscomplexobj(A):  # each entry as its (re, im) pair of floats
         for block in _text_blocks(rows, 2):
             fh.write(_repr_rows(np.ascontiguousarray(block).view(float).reshape(-1, 2), ",", "\n"))
     else:  # the exact 0.0 of every im is part of the separator
@@ -569,10 +578,11 @@ def _write_csv(fh, data: np.ndarray, grid: GridSpec, kind: str):
             fh.write(_repr_rows(block.reshape(-1, 1), "", ",0.0\n"))
 
 
-def _read_csv(fh, kind: str) -> tuple:
+def read_phase_csv(fh):
+    """Read a phase-function CSV; returns (array, GridSpec)."""
     lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"empty {kind} CSV: missing axes header")
+        raise ValueError("empty phase CSV: missing axes header")
     parts = lines[0].split()
     if parts[:2] != ["#", "axes"] or len(parts) != 4:
         raise ValueError(f"malformed axes header: {lines[0]!r}")
@@ -580,8 +590,8 @@ def _read_csv(fh, kind: str) -> tuple:
     stated = {name: (int(count), float(step)) for name, count, step in fields}
     (_, step), (n, _) = stated.values()  # the row step and the column count
     try:
-        grid = GridSpec(n, 2 * step if kind == "phase" else step)
-        shape = _check_axes(stated, kind, grid)
+        grid = GridSpec(n, 2 * step)
+        shape = _check_axes(stated, grid)
     except OverflowError as exc:  # a count too large for a float
         raise ValueError(f"malformed axes header: {exc!r}") from exc
     count, rows = shape[0] * shape[1], lines[1:]
@@ -596,40 +606,16 @@ def _read_csv(fh, kind: str) -> tuple:
     return values.view(complex).reshape(shape), grid
 
 
-def _header(grid: GridSpec, kind: str) -> dict:
-    return {
-        "grid": {"n": grid.n, "dx": grid.dx},
-        "axes": {name: {"count": count, "step": step} for name, (count, step) in _axes(kind, grid).items()},
-    }
-
-
-def _to_json(data: np.ndarray, grid: GridSpec, kind: str) -> dict:
-    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
-    if np.iscomplexobj(data):
-        im = data.imag.tolist()
-    else:  # exact zeros: rows that share one list, not a float object per entry
-        im = functools.reduce(lambda row, size: [row] * size, reversed(data.shape), 0.0)
-    return {**_header(grid, kind), "re": data.real.tolist(), "im": im}
-
-
-def _json_rows(part: np.ndarray):
-    """The rows of a 2-d float array as JSON lists, one text per block of rows."""
-    for block in _text_blocks(part):
-        if not np.isfinite(block).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        yield "[" + _repr_rows(block, ",", "],[")[:-2]
-
-
-def _write_json(fh, data: np.ndarray, grid: GridSpec, kind: str):
-    """The canonical text of ``_to_json(data, grid, kind)`` and a newline."""
-    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
+def write_phase_json(fh, A: np.ndarray, grid: GridSpec):
+    """Write ``phase_to_json(A, grid)`` as canonical JSON text and a newline."""
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     encode = _CANONICAL.encode
-    if np.iscomplexobj(data):
-        im = _json_rows(data.imag)
+    if np.iscomplexobj(A):
+        im = _json_rows(A.imag)
     else:  # exact zeros: one row of text, written for every row
-        im = itertools.repeat(encode([0.0] * data.shape[1]), data.shape[0])
-    re = _json_rows(data.real)
-    fh.write(encode(_header(grid, kind))[:-1])  # left open: sorted keys put "im" and "re" last
+        im = itertools.repeat(encode([0.0] * A.shape[1]), A.shape[0])
+    re = _json_rows(A.real)
+    fh.write(encode(_header(grid))[:-1])  # left open: sorted keys put "im" and "re" last
     for key, rows in (("im", im), ("re", re)):
         fh.write(f',"{key}":[')
         for i, text in enumerate(rows):
@@ -638,7 +624,16 @@ def _write_json(fh, data: np.ndarray, grid: GridSpec, kind: str):
     fh.write("}\n")
 
 
-def _from_json(payload, kind: str) -> tuple:
+def phase_to_json(A: np.ndarray, grid: GridSpec) -> dict:
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    if np.iscomplexobj(A):
+        im = A.imag.tolist()
+    else:  # exact zeros: rows that share one list, not a float object per entry
+        im = functools.reduce(lambda row, size: [row] * size, reversed(A.shape), 0.0)
+    return {**_header(grid), "re": A.real.tolist(), "im": im}
+
+
+def phase_from_json(payload) -> tuple:
     if isinstance(payload, str):
         payload = json.loads(payload)
     try:
@@ -651,52 +646,13 @@ def _from_json(payload, kind: str) -> tuple:
         if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
             raise TypeError(f"re and im must hold numbers, not {re.dtype} and {im.dtype}")
         # a JSON object's members carry no order: take the grid's axis names first
-        axes = {**dict.fromkeys(_axes(kind, grid)), **payload["axes"]}
+        axes = {**dict.fromkeys(_axes(grid)), **payload["axes"]}
         stated = {name: (axis["count"], axis["step"]) for name, axis in axes.items()}
-        shape = _check_axes(stated, kind, grid)
+        shape = _check_axes(stated, grid)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed array payload: {exc!r}") from exc
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"re and im must each have shape {shape}")
-    data = np.empty(shape, dtype=complex)  # 1j * inf would put a NaN in .real
-    data.real, data.imag = re, im
-    return data, grid
-
-
-def write_phase_csv(fh, A: np.ndarray, grid: GridSpec):
-    _write_csv(fh, A, grid, "phase")
-
-
-def read_phase_csv(fh):
-    """Read a phase-function CSV; returns (array, GridSpec)."""
-    return _read_csv(fh, "phase")
-
-
-def write_phase_json(fh, A: np.ndarray, grid: GridSpec):
-    """Write ``phase_to_json(A, grid)`` as canonical JSON text and a newline."""
-    _write_json(fh, A, grid, "phase")
-
-
-def write_kernel_csv(fh, K: np.ndarray, grid: GridSpec):
-    _write_csv(fh, K, grid, "kernel")
-
-
-def read_kernel_csv(fh):
-    """Read a kernel CSV; returns (array, GridSpec)."""
-    return _read_csv(fh, "kernel")
-
-
-def phase_to_json(A: np.ndarray, grid: GridSpec) -> dict:
-    return _to_json(A, grid, "phase")
-
-
-def phase_from_json(payload) -> tuple:
-    return _from_json(payload, "phase")
-
-
-def kernel_to_json(K: np.ndarray, grid: GridSpec) -> dict:
-    return _to_json(K, grid, "kernel")
-
-
-def kernel_from_json(payload) -> tuple:
-    return _from_json(payload, "kernel")
+    A = np.empty(shape, dtype=complex)  # 1j * inf would put a NaN in .real
+    A.real, A.imag = re, im
+    return A, grid

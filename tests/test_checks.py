@@ -73,7 +73,9 @@ def test_grid_override_is_recorded_and_respected():
 def test_parseval_holds_on_wide_grids(dx):
     # the residual is relative to dx²·‖K1‖·‖K2‖, so a wide grid passes;
     # so do the phase round trip and parity, relative to max |W(K1)|
-    report = run_suite("wigner", seed=0, grid=GridSpec(64, dx))
+    # the basis extent outgrows so wide a box, and the suite says so
+    with pytest.warns(UserWarning, match="turning radius"):
+        report = run_suite("wigner", seed=0, grid=GridSpec(64, dx))
     for prefix in ("inner products", "phase round trip", "parity matches"):
         (inv,) = [i for i in report["invariants"] if i["name"].startswith(prefix)]
         assert inv["tolerance"] == 1e-12

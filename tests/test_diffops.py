@@ -130,10 +130,10 @@ def test_adjoint_examples():
 
 def test_queries():
     op = DiffOp(PHASE_VARS, {((2, 0), (0, 1)): I, ((0, 0), (0, 0)): CRat(3)})
-    assert op.derivative_order() == 1
     assert op.constant_part() == CRat(3)
-    assert op.truncate_order(0) == DiffOp.constant(PHASE_VARS, 3)
-    assert DiffOp.zero(X).derivative_order() == -1
+    assert op.coefficient((2, 0), (0, 1)) == I
+    assert op.coefficient((1, 0), (0, 1)) == CRat(0)
+    assert DiffOp.zero(X).constant_part() == CRat(0)
 
 
 def test_apply_to_symbol():

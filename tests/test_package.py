@@ -195,6 +195,18 @@ def test_an_unknown_name_raises_attribute_error():
     assert printed == "module 'weylkit' has no attribute 'no_such_name'"
 
 
+def test_a_private_probe_loads_nothing():
+    # such probes (``hasattr(obj, "__wrapped__")`` in inspect and doctest) name
+    # nothing that a module exports; a private module still resolves
+    printed = _fresh(
+        "import sys, weylkit\n"
+        "probes = [hasattr(weylkit, name) for name in ('__wrapped__', '_nope')]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('weylkit.', 'numpy')))\n"
+        "print(probes, loaded, weylkit._exclusions.__name__)"
+    )
+    assert printed == "[False, False] [] weylkit._exclusions"
+
+
 _MODULE_FILES = sorted(
     path for path in Path(weylkit.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )

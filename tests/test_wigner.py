@@ -27,13 +27,9 @@ from weylkit import (
 from weylkit import wigner
 from weylkit.wigner import (
     _plan,
-    kernel_from_json,
-    kernel_to_json,
     phase_from_json,
     phase_to_json,
-    read_kernel_csv,
     read_phase_csv,
-    write_kernel_csv,
     write_phase_csv,
     write_phase_json,
 )
@@ -305,27 +301,12 @@ def test_phase_csv_round_trip_is_exact():
     assert np.array_equal(back, A)
 
 
-def test_kernel_csv_round_trip_is_exact():
-    rng = np.random.default_rng(23)
-    grid = GridSpec(8, 0.5)
-    K = random_kernel(rng, grid)
-    buf = io.StringIO()
-    write_kernel_csv(buf, K, grid)
-    buf.seek(0)
-    back, grid_back = read_kernel_csv(buf)
-    assert grid_back == grid
-    assert np.array_equal(back, K)
-
-
 def test_csv_header_is_machine_readable():
     grid = GridSpec(8, 0.5)
     buf = io.StringIO()
     write_phase_csv(buf, np.zeros(grid.phase_shape), grid)
     header = buf.getvalue().splitlines()[0]
     assert header == f"# axes q:16:{0.25!r} p:8:{grid.dp!r}"
-    buf = io.StringIO()
-    write_kernel_csv(buf, np.zeros(grid.kernel_shape), grid)
-    assert buf.getvalue().splitlines()[0] == "# axes x:8:0.5 y:8:0.5"
 
 
 def test_csv_malformed_inputs_raise():
@@ -343,39 +324,31 @@ def test_csv_malformed_inputs_raise():
     with pytest.raises(ValueError):
         read_phase_csv(io.StringIO("# axes q:16:0.25 p:8:0.5\n" + "0.0,0.0\n" * 128))
     # a huge header over one data row is refused before anything is sized
-    # from it (n = 10**5 would ask for 298 GiB and 149 GiB)
+    # from it (n = 10**5 would ask for 298 GiB)
     n = 100_000
-    huge = {
-        read_phase_csv: f"# axes q:{2 * n}:0.25 p:{n}:{math.pi / (n * 0.5)!r}\n",
-        read_kernel_csv: f"# axes x:{n}:0.5 y:{n}:0.5\n",
-    }
-    for reader, header in huge.items():
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="data rows"):
-                reader(io.StringIO(header + "0.0,0.0\n"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-    # counts too large for a float over one data row: the phase grid's dp
-    # would overflow, and both readers refuse them as malformed
+    header = f"# axes q:{2 * n}:0.25 p:{n}:{math.pi / (n * 0.5)!r}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="data rows"):
+            read_phase_csv(io.StringIO(header + "0.0,0.0\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # counts too large for a float over one data row: the grid's dp would
+    # overflow, and the reader refuses them as malformed
     big = 10**400
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed"):
         read_phase_csv(io.StringIO(f"# axes q:{2 * big}:0.25 p:{big}:0.0\n0.0,0.0\n"))
-    with pytest.raises(ValueError):
-        read_kernel_csv(io.StringIO(f"# axes x:{big}:0.5 y:{big}:0.5\n0.0,0.0\n"))
     # one comma a row, even where the fields of two rows would add up
     lines = buf.getvalue().splitlines()
     lines[1], lines[2] = "0.0", "0.0,0.0,0.0"
     with pytest.raises(ValueError, match="re,im"):
         read_phase_csv(io.StringIO("\n".join(lines)))
     # empty input has no axes header
-    for reader in (read_phase_csv, read_kernel_csv):
-        with pytest.raises(ValueError):
-            reader(io.StringIO(""))
-        with pytest.raises(ValueError):
-            reader(io.StringIO("\n  \n"))
+    for text in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="empty"):
+            read_phase_csv(io.StringIO(text))
 
 
 def test_phase_csv_rows_are_the_repr_of_each_value():
@@ -581,55 +554,51 @@ def test_real_json_im_is_shared_zero_rows():
 def test_json_round_trips_are_exact():
     rng = np.random.default_rng(25)
     grid = GridSpec(8, 0.5)
-    K = random_kernel(rng, grid)
-    A = weyl_wigner(K, grid)
-    K2, gk = kernel_from_json(json.dumps(kernel_to_json(K, grid)))
-    A2, ga = phase_from_json(json.dumps(phase_to_json(A, grid)))
-    assert gk == grid and ga == grid
-    assert np.array_equal(K2, K)
-    assert np.array_equal(A2, A)
+    A = weyl_wigner(random_kernel(rng, grid), grid)
+    for data in (A, A.real):
+        back, read_grid = phase_from_json(json.dumps(phase_to_json(data, grid)))
+        assert read_grid == grid
+        assert np.array_equal(back, data)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_json_reader_keeps_an_infinite_im_as_the_csv_reader_does():
     grid = GridSpec(4, 0.5)
-    K = np.ones(grid.kernel_shape, dtype=complex)
-    K[0, 0] = complex(1.0, math.inf)
-    payload = kernel_to_json(K, grid)
+    A = np.ones(grid.phase_shape, dtype=complex)
+    A[0, 0] = complex(1.0, math.inf)
+    payload = phase_to_json(A, grid)
     assert payload["im"][0][0] == math.inf
-    from_json, _ = kernel_from_json(json.dumps(payload))
+    from_json, _ = phase_from_json(json.dumps(payload))
     buf = io.StringIO()
-    write_kernel_csv(buf, K, grid)
+    write_phase_csv(buf, A, grid)
     buf.seek(0)
-    from_csv, _ = read_kernel_csv(buf)
+    from_csv, _ = read_phase_csv(buf)
     assert from_json[0, 0].real == 1.0 and from_json[0, 0].imag == math.inf
     assert np.array_equal(from_json, from_csv)
-    assert np.array_equal(from_json, K)
+    assert np.array_equal(from_json, A)
 
 
 def test_json_readers_refuse_entries_that_are_not_numbers():
     grid = GridSpec(4, 1.0)
-    for reader, payload in ((phase_from_json, phase_to_json(np.zeros(grid.phase_shape), grid)),
-                            (kernel_from_json, kernel_to_json(np.zeros(grid.kernel_shape), grid))):
-        text = json.dumps(payload)
+    text = json.dumps(phase_to_json(np.zeros(grid.phase_shape), grid))
 
-        def read(edit):
-            changed = json.loads(text)
-            edit(changed)
-            return reader(json.dumps(changed))
+    def read(edit):
+        changed = json.loads(text)
+        edit(changed)
+        return phase_from_json(json.dumps(changed))
 
-        for key in ("re", "im"):
-            for bad in (None, True, False, "1.0"):
-                with pytest.raises(ValueError):
-                    read(lambda p: p.update({key: [[bad] * len(row) for row in p[key]]}))
-            with pytest.raises(ValueError):  # one null among numbers
-                read(lambda p: p[key][0].__setitem__(0, None))
-        for dx in ("1.0", True, None, [1.0]):
+    for key in ("re", "im"):
+        for bad in (None, True, False, "1.0"):
             with pytest.raises(ValueError):
-                read(lambda p: p["grid"].update(dx=dx))
-        # integers are JSON numbers
-        data, read_grid = read(lambda p: (p["grid"].update(dx=1), p.update(re=[[1] * len(row) for row in p["re"]])))
-        assert read_grid == grid and np.all(data == 1.0)
+                read(lambda p: p.update({key: [[bad] * len(row) for row in p[key]]}))
+        with pytest.raises(ValueError):  # one null among numbers
+            read(lambda p: p[key][0].__setitem__(0, None))
+    for dx in ("1.0", True, None, [1.0]):
+        with pytest.raises(ValueError):
+            read(lambda p: p["grid"].update(dx=dx))
+    # integers are JSON numbers
+    data, read_grid = read(lambda p: (p["grid"].update(dx=1), p.update(re=[[1] * len(row) for row in p["re"]])))
+    assert read_grid == grid and np.all(data == 1.0)
 
 
 def test_json_shape_and_axes_validation():
@@ -638,10 +607,11 @@ def test_json_shape_and_axes_validation():
     payload["re"] = payload["re"][:-1]
     with pytest.raises(ValueError):
         phase_from_json(payload)
-    payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
-    del payload["axes"]["x"]
-    with pytest.raises(ValueError):
-        kernel_from_json(payload)
+    for axis in ("q", "p"):  # a missing axis
+        payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+        del payload["axes"][axis]
+        with pytest.raises(ValueError):
+            phase_from_json(payload)
     # a non-integral grid size is rejected, not truncated
     payload = phase_to_json(np.zeros(grid.phase_shape), grid)
     payload["grid"]["n"] = 8.7
@@ -653,35 +623,36 @@ def test_json_shape_and_axes_validation():
         payload[key] = value
         with pytest.raises(ValueError):
             phase_from_json(payload)
-    payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
-    payload["re"] = 0.0
+    payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+    payload["re"] = 0.0  # a scalar re
     with pytest.raises(ValueError):
-        kernel_from_json(payload)
+        phase_from_json(payload)
     # the stated axes must be the grid's
-    for axis, key, value in (("q", "count", 999), ("p", "step", -grid.dp), ("q", "step", 0.5)):
+    for axis, key, value in (("q", "count", 999), ("p", "count", 9), ("p", "step", -grid.dp),
+                             ("q", "step", 0.5)):
         payload = phase_to_json(np.zeros(grid.phase_shape), grid)
         payload["axes"][axis][key] = value
         with pytest.raises(ValueError):
             phase_from_json(payload)
-    payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
-    payload["axes"]["y"]["count"] = 9
-    with pytest.raises(ValueError):
-        kernel_from_json(payload)
     # missing keys and non-object payloads
-    for reader in (phase_from_json, kernel_from_json):
-        for bad in ("{}", "[]", '"text"', '{"grid": 8}', {"grid": {"n": 8}}):
-            with pytest.raises(ValueError):
-                reader(bad)
+    for bad in ("{}", "[]", '"text"', '{"grid": 8}', {"grid": {"n": 8}}):
+        with pytest.raises(ValueError):
+            phase_from_json(bad)
 
 
 def test_stated_steps_match_the_grid_to_a_relative_1e_12():
+    # the CSV reader builds its grid from the q step, so its dp is the one
+    # step that a header can misstate; the JSON reader checks both steps
     grid = GridSpec(8, 0.5)
-    rows = "0.0,0.0\n" * 64
+    rows = "0.0,0.0\n" * 128
     for rel, accepted in ((1e-14, True), (1e-10, False)):
-        text = f"# axes x:8:0.5 y:8:{0.5 * (1 + rel)!r}\n" + rows
-        payload = kernel_to_json(np.zeros(grid.kernel_shape), grid)
-        payload["axes"]["y"]["step"] *= 1 + rel
-        for read, archive in ((read_kernel_csv, io.StringIO(text)), (kernel_from_json, payload)):
+        text = f"# axes q:16:0.25 p:8:{grid.dp * (1 + rel)!r}\n" + rows
+        archives = [(read_phase_csv, io.StringIO(text))]
+        for axis in ("q", "p"):
+            payload = phase_to_json(np.zeros(grid.phase_shape), grid)
+            payload["axes"][axis]["step"] *= 1 + rel
+            archives.append((phase_from_json, payload))
+        for read, archive in archives:
             if accepted:
                 assert read(archive)[1] == grid
             else:
@@ -692,4 +663,24 @@ def test_stated_steps_match_the_grid_to_a_relative_1e_12():
     payload["axes"] = dict(reversed(payload["axes"].items()))
     assert phase_from_json(payload)[1] == grid
     with pytest.raises(ValueError):
-        read_kernel_csv(io.StringIO("# axes y:8:0.5 x:8:0.5\n" + rows))
+        read_phase_csv(io.StringIO(f"# axes p:8:{grid.dp!r} q:16:0.25\n" + rows))
+
+
+def test_an_old_kernel_layout_archive_is_refused():
+    # n×n kernels once had their own archive layout, with axes x and y
+    grid = GridSpec(8, 0.5)
+    for entries in (64, 128):  # a kernel's count of rows, and a phase array's
+        text = "# axes x:8:0.5 y:8:0.5\n" + "0.0,0.0\n" * entries
+        with pytest.raises(ValueError, match="not those of a phase array"):
+            read_phase_csv(io.StringIO(text))
+    zeros = [[0.0] * 8] * 8
+    kernel = {
+        "grid": {"n": 8, "dx": 0.5},
+        "axes": {"x": {"count": 8, "step": 0.5}, "y": {"count": 8, "step": 0.5}},
+        "re": zeros,
+        "im": zeros,
+    }
+    with pytest.raises(ValueError):
+        phase_from_json(json.dumps(kernel))
+    with pytest.raises(ValueError):  # even over a phase array's entries
+        phase_from_json({**kernel, "re": [[0.0] * 8] * 16, "im": [[0.0] * 8] * 16})
