@@ -90,29 +90,27 @@ def _maxabs(a) -> float:
 # ----------------------------------------------------------------------
 
 
-def _transform_residuals(rng, grid: GridSpec) -> tuple:
+def _transform_residuals(rng, grid: GridSpec) -> np.ndarray:
     """Round trips, inner products and transposition over five random kernel pairs."""
     from .wigner import parity, weyl_wigner, weyl_wigner_inv
-    round_k = round_p = parseval = transpose = 0.0
+    rows = []
     for _ in range(5):
         K1 = _random_kernel(rng, grid)
         K2 = _random_kernel(rng, grid)
         A1 = weyl_wigner(K1, grid)
         # the entries of W(K) grow with dx: phase-side residuals are relative
         a_scale = _maxabs(A1)
-        round_k = max(round_k, _maxabs(weyl_wigner_inv(A1, grid) - K1))
-        round_p = max(
-            round_p, _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1) / a_scale
-        )
         lhs = inner_k(A1, weyl_wigner(K2, grid), grid)
         rhs = grid.dx**2 * np.vdot(K1, K2)
         # relative to the Cauchy-Schwarz bound: both sides grow as dx²·n
         scale = grid.dx**2 * np.linalg.norm(K1) * np.linalg.norm(K2)
-        parseval = max(parseval, abs(lhs - rhs) / scale)
-        transpose = max(
-            transpose, _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)) / a_scale
-        )
-    return round_k, round_p, parseval, transpose
+        rows.append((
+            _maxabs(weyl_wigner_inv(A1, grid) - K1),
+            _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1) / a_scale,
+            abs(lhs - rhs) / scale,
+            _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)) / a_scale,
+        ))
+    return np.max(rows, axis=0)  # round_k, round_p, parseval, transpose
 
 
 def _state_residuals(basis, grid: GridSpec) -> tuple:
@@ -140,20 +138,20 @@ def _transition_gram_residual(basis, grid: GridSpec) -> float:
         r, s = label
         return weyl_wigner(np.outer(basis[r], basis[s].conj()), grid)
 
-    ortho = 0.0
+    gaps = []
     for start in range(0, len(labels), width):
         held = {label: symbol(label) for label in labels[start : start + width]}
         for a, F_a in held.items():
             for b, F_b in held.items():
                 expected = 1.0 if a == b else 0.0
-                ortho = max(ortho, abs(inner_k(F_a, F_b, grid) - expected))
+                gaps.append(abs(inner_k(F_a, F_b, grid) - expected))
         for label in labels[start + width :]:
             F = symbol(label)
             for F_a in held.values():
-                ortho = max(ortho, abs(inner_k(F_a, F, grid)), abs(inner_k(F, F_a, grid)))
+                gaps += abs(inner_k(F_a, F, grid)), abs(inner_k(F, F_a, grid))
             del F  # before the next symbol is built
         del held
-    return ortho
+    return np.max(gaps)
 
 
 def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
@@ -220,8 +218,8 @@ def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
     assoc = _maxabs(left - star(A, star(B, C, grid), grid)) / _maxabs(left)
 
     one = identity_phase(grid)
-    ident = max(
-        _maxabs(star(one, A, grid) - A), _maxabs(star(A, one, grid) - A)
+    ident = np.max(
+        [_maxabs(star(one, A, grid) - A), _maxabs(star(A, one, grid) - A)]
     ) / _maxabs(A)
 
     adjoint = _maxabs(star_adjoint(A, grid) - A.conj()) / _maxabs(A)
@@ -230,15 +228,13 @@ def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
     H1 = weyl_wigner((lambda K: (K + K.conj().T) / 2)(_random_kernel(rng, grid)), grid)
     H2 = weyl_wigner((lambda K: (K + K.conj().T) / 2)(_random_kernel(rng, grid)), grid)
     br = moyal_bracket(H1, H2, grid)
-    bracket = max(
-        _maxabs(br.imag) / _maxabs(br),
-        _maxabs(br + moyal_bracket(H2, H1, grid)) / _maxabs(br),
-    )
+    bracket = np.max(
+        [_maxabs(br.imag), _maxabs(br + moyal_bracket(H2, H1, grid))]
+    ) / _maxabs(br)
 
     basis = hermite_basis(grid, 2)
     w0 = wigner_of_state(basis[0], grid)
-    r1, r2 = purity_residual(w0, grid)
-    purity = max(r1, r2)
+    purity = np.max(purity_residual(w0, grid))
 
     # unitary built from a random Hermitian kernel via its spectrum
     K = _random_kernel(rng, grid)
@@ -264,9 +260,7 @@ def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
         )
     ]
     quad = star_twisted_oracle(phi01, phi10, grid, points=points)
-    routes = float(
-        np.max(np.abs(quad - np.array([kernel_route[r, c] for r, c in points])))
-    )
+    routes = _maxabs(quad - np.array([kernel_route[r, c] for r, c in points]))
 
     invariants = [
         _numeric("associativity: (A*B)*C = A*(B*C)  (scaled)", assoc, 1e-12),
@@ -485,7 +479,7 @@ def _run_reps(seed: int, tol, grid) -> dict:
         )
         for a in (0, 1, 2)
     }
-    add("time_reversal", lambda: time_reversal_check(rng=seed), 1e-12)
+    add("time_reversal", lambda: time_reversal_check(seed), 1e-12)
 
     if hw1 and hw2:
         invariants.append(

@@ -46,8 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridSpec
-from .star import _fourier_lattice
+from .grids import GridSpec, _fourier_lattice
 
 __all__ = [
     "AlphaKernel",

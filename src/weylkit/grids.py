@@ -144,3 +144,24 @@ def inner_k(F: np.ndarray, G: np.ndarray, grid: GridSpec) -> complex:
     if F.shape != grid.phase_shape or G.shape != grid.phase_shape:
         raise ValueError("phase functions must have shape (2n, n)")
     return complex(np.vdot(F, G) * grid.cell / (2 * math.pi))
+
+
+def _fourier_lattice(B: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """B̂(a, b) = Σ B[s,k] e^{i(a q_s + b p_k)} (dx/2) dp on the shift lattice.
+
+    a runs over dp·[−(2n−1) .. 2n−1] and b over dx·[−(2n−1) .. 2n−1]
+    (4n−1 values each), the exact set reachable by grid-aligned shifts.
+    The twisted star oracle and the forward kernel map of ``factorize``
+    both integrate against it.
+    """
+    n = grid.n
+    m = 2 * n - 1
+    a_vals = grid.dp * np.arange(-m, m + 1)
+    b_vals = grid.dx * np.arange(-m, m + 1)
+    q = grid.q
+    out = np.zeros((2 * m + 1, 2 * m + 1), dtype=complex)
+    for sigma in (0, 1):
+        rows = np.exp(1j * np.outer(a_vals, q[sigma::2]))
+        cols = np.exp(1j * np.outer(grid.p(sigma), b_vals))
+        out += rows @ B[sigma::2] @ cols
+    return out * grid.cell

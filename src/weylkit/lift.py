@@ -359,23 +359,18 @@ def table1_check() -> dict:
 # ----------------------------------------------------------------------
 
 
-def potential_generator(V: PolySymbol, max_order: int | None = None) -> DiffOp:
+def potential_generator(V: PolySymbol) -> DiffOp:
     """Lift of a potential V(q): i V'∂_p − (i/24) V‴∂_p³ + (i/1920) V⁽⁵⁾∂_p⁵ − …
 
     For a polynomial potential the series terminates and equals
-    ``xi_lift(V)`` exactly.  ``max_order`` truncates at a maximal
-    derivative order, the form used when V is a series truncation of a
-    non-polynomial potential.
+    ``xi_lift(V)`` exactly.
     """
     if not V.is_real():
         raise ValueError("potential must be real")
     if any(n != 0 for (_, n) in V.terms):
         raise ValueError("potential must depend on q only")
-    kmax = V.degree()
-    if max_order is not None:
-        kmax = min(kmax, max_order)
     terms: dict = {}
-    for k in range(1, max(kmax, 0) + 1, 2):
+    for k in range(1, V.degree() + 1, 2):
         sign = 1 if (k - 1) // 2 % 2 == 0 else -1
         coeff = I * CRat(Fraction(2 * sign, math.factorial(k) * 2 ** k))
         vk = V.diff(dq=k)

@@ -53,7 +53,7 @@ import sys
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, _fourier_lattice
 from .wigner import _phase_blocks, weyl_wigner, weyl_wigner_inv
 
 __all__ = [
@@ -130,25 +130,6 @@ def star(A: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Star product via kernel composition (exactly associative)."""
     product = _compose((weyl_wigner_inv(A, grid), weyl_wigner_inv(B, grid)), np.matmul, grid.dx)
     return weyl_wigner(product, grid)
-
-
-def _fourier_lattice(B: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """B̂(a, b) = Σ B[s,k] e^{i(a q_s + b p_k)} (dx/2) dp on the shift lattice.
-
-    a runs over dp·[−(2n−1) .. 2n−1] and b over dx·[−(2n−1) .. 2n−1]
-    (4n−1 values each), the exact set reachable by grid-aligned shifts.
-    """
-    n = grid.n
-    m = 2 * n - 1
-    a_vals = grid.dp * np.arange(-m, m + 1)
-    b_vals = grid.dx * np.arange(-m, m + 1)
-    q = grid.q
-    out = np.zeros((2 * m + 1, 2 * m + 1), dtype=complex)
-    for sigma in (0, 1):
-        rows = np.exp(1j * np.outer(a_vals, q[sigma::2]))
-        cols = np.exp(1j * np.outer(grid.p(sigma), b_vals))
-        out += rows @ B[sigma::2] @ cols
-    return out * grid.cell
 
 
 def _phase_index(point, n: int) -> tuple:

@@ -56,7 +56,6 @@ __all__ = [
     "parse_symbol",
     "format_symbol",
     "format_ncpoly",
-    "nc_matrix",
 ]
 
 # ----------------------------------------------------------------------
@@ -684,29 +683,4 @@ def parse_symbol(text: str) -> PolySymbol:
         sign = -1 if term["sign"] == "-" else 1
         total = total + PolySymbol.monomial(powers["q"], powers["p"], coeff * sign)
         pos = term.end()
-    return total
-
-
-# ----------------------------------------------------------------------
-# float matrix representation (test oracle)
-# ----------------------------------------------------------------------
-
-
-def nc_matrix(x: NCPoly, size: int):
-    """Matrix of an operator polynomial on a truncated oscillator basis.
-
-    Floating point; intended as an independent brute-force oracle for the
-    exact algebra (truncation corrupts the last few rows/columns, so oracle
-    comparisons should restrict to a leading block).
-    """
-    import numpy as np
-
-    lower = np.diag(np.sqrt(np.arange(1, size)), k=1)  # annihilation
-    raise_ = lower.T.conj()
-    qmat = (lower + raise_) / np.sqrt(2.0)
-    pmat = 1j * (raise_ - lower) / np.sqrt(2.0)
-    power = np.linalg.matrix_power
-    total = np.zeros((size, size), dtype=complex)
-    for (a, b), coeff in x.terms.items():
-        total += coeff.to_complex() * (power(qmat, a) @ power(pmat, b))
     return total

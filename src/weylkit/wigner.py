@@ -653,6 +653,9 @@ def phase_from_json(payload) -> tuple:
         raise ValueError(f"malformed array payload: {exc!r}") from exc
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"re and im must each have shape {shape}")
+    # numpy reads true and false among numbers as 1 and 0: find them in the rows
+    if bool in set(map(type, itertools.chain(*payload["re"], *payload["im"]))):
+        raise ValueError("re and im must hold numbers, not booleans")
     A = np.empty(shape, dtype=complex)  # 1j * inf would put a NaN in .real
     A.real, A.imag = re, im
     return A, grid

@@ -370,7 +370,7 @@ def test_criterion_11():
     twice = parity(np.conj(parity(np.conj(B), grid)), grid)
     assert np.array_equal(twice, B)
 
-    report = time_reversal_check(grid, count=20, rng=111)
+    report = time_reversal_check(111)  # on the grid n = 64, dx = 0.25 above
     assert report["max_residual"] < 1e-12
 
 

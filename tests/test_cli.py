@@ -293,6 +293,32 @@ def test_check_loose_tolerance_passes_coarse_grid(tmp_path, capsys):
     assert code == 0
 
 
+_NON_FINITE = "error: the run gives non-finite values; choose a grid spacing within float range\n"
+
+
+@pytest.mark.parametrize("dx", ["1e-300", "1e-200", "1e152"])
+def test_a_nan_residual_is_refused_not_passed(tmp_path, capsys, dx):
+    # dx² leaves float range, so the relative Parseval residual is 0/0 or
+    # inf/inf; a running Python max dropped that NaN and reported 0.0 as a pass
+    with pytest.warns(UserWarning, match="turning radius"):
+        code, out, err = run(capsys, "check", "wigner", "--dx", dx, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", _NON_FINITE)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "star", "--dx", "1e300"), ("check", "wigner", "--dx", "1e-310"),
+     ("star-demo", "--dx", "1e200")],
+)
+def test_extreme_spacings_warn_only_about_the_basis(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert [w.category for w in caught] == [UserWarning]  # no numpy RuntimeWarning
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # wigner
 # ----------------------------------------------------------------------

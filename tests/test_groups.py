@@ -578,19 +578,13 @@ def test_factorized_generators_print_as_pinned():
 
 
 def test_time_reversal_laws_hold_to_machine_precision():
-    report = time_reversal_check(count=5, rng=7)
+    report = time_reversal_check(7)
     assert report["max_residual"] < 1e-12
     assert report["casimir_value"] is None
     assert len(report["relations_checked"]) == 4
 
 
-@pytest.mark.parametrize("count", [0, -1, 2.5, True])
-def test_time_reversal_refuses_an_empty_check(count):
-    with pytest.raises(ValueError, match="count"):
-        time_reversal_check(count=count)
-
-
 def test_time_reversal_is_deterministic_given_a_seed():
-    r1 = time_reversal_check(count=3, rng=11)
-    r2 = time_reversal_check(count=3, rng=11)
+    r1 = time_reversal_check(11)
+    r2 = time_reversal_check(11)
     assert r1 == r2

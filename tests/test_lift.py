@@ -277,14 +277,6 @@ def test_potential_generator_matches_lift():
         assert potential_generator(V) == xi_lift(V)
 
 
-def test_potential_generator_truncation():
-    V = Q**5
-    truncated = potential_generator(V, max_order=1)
-    first_order = {key: c for key, c in xi_lift(V).terms.items() if sum(key[1]) <= 1}
-    assert truncated == DiffOp(PHASE_VARS, first_order)
-    assert potential_generator(V, max_order=5) == xi_lift(V)
-
-
 def test_potential_generator_validation():
     with pytest.raises(ValueError):
         potential_generator(Q * P)

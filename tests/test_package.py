@@ -19,7 +19,7 @@ import weylkit
 _EARLIER_EXPORTS = {
     "rational": "CRat ZERO ONE I",
     "symbols": "PolySymbol NCPoly nc_normalize weyl_symbol weyl_quantize star_symbolic "
-    "moyal_symbolic poisson_bracket parse_symbol format_symbol format_ncpoly nc_matrix",
+    "moyal_symbolic poisson_bracket parse_symbol format_symbol format_ncpoly",
     "diffops": "DiffOp",
     "lift": "xi_lift z_conjugate SplitResult split_test read_off_generator table1_check "
     "potential_generator",
@@ -126,8 +126,8 @@ _LOADED_BY = {
     "check reps": _EXACT + " diffops groups lift wigner",
     "reps": _EXACT + " diffops groups lift wigner",
     "check all": _EXACT + " diffops groups lift star wigner",
-    "factorize --tau 1 --sigma 1 --epsilon 1": _GRID + " factorize",
-    "factorize --tau 1 --sigma 1 --epsilon 1 --grid-n 16": _GRID + " factorize",
+    "factorize --tau 1 --sigma 1 --epsilon 1": "checks cli grids factorize",
+    "factorize --tau 1 --sigma 1 --epsilon 1 --grid-n 16": "checks cli grids factorize",
     "wigner hermite:99": "checks cli grids",  # a usage error, found before any work
     "check nosuch": "checks cli grids",  # refused by the parser
 }
@@ -155,6 +155,26 @@ def test_an_exact_name_loads_no_numpy():
     )
     # not there before its first use, then kept in the package namespace
     assert printed == "False True False"
+
+
+_EXACT_LAYER = ("rational", "symbols", "diffops", "lift")
+
+
+def test_the_exact_layer_imports_no_numpy():
+    # no floats in the symbolic layer: numpy neither loads with it nor is
+    # imported inside any of its functions
+    printed = _fresh(
+        f"import sys, {', '.join('weylkit.' + name for name in _EXACT_LAYER)}\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert printed == "False"
+    for name in _EXACT_LAYER:
+        tree = ast.parse(Path(_module(name).__file__).read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        assert "numpy" not in {module.split(".")[0] for module in modules}, name
 
 
 # what runs before ``weylkit.star`` is first read

@@ -17,7 +17,6 @@ from weylkit import (
     format_ncpoly,
     format_symbol,
     moyal_symbolic,
-    nc_matrix,
     nc_normalize,
     parse_symbol,
     poisson_bracket,
@@ -134,6 +133,24 @@ def test_normalize_respects_products(a, b):
 @given(operators(4), operators(4))
 def test_adjoint_antihomomorphism(a, b):
     assert nc_normalize((a * b).adjoint()) == nc_normalize(b.adjoint() * a.adjoint())
+
+
+def nc_matrix(x: NCPoly, size: int):
+    """Matrix of an operator polynomial on a truncated oscillator basis.
+
+    Floating point; an independent brute-force oracle for the exact algebra
+    (truncation corrupts the last few rows/columns, so oracle comparisons
+    restrict to a leading block).
+    """
+    lower = np.diag(np.sqrt(np.arange(1, size)), k=1)  # annihilation
+    raise_ = lower.T.conj()
+    qmat = (lower + raise_) / np.sqrt(2.0)
+    pmat = 1j * (raise_ - lower) / np.sqrt(2.0)
+    power = np.linalg.matrix_power
+    total = np.zeros((size, size), dtype=complex)
+    for (a, b), coeff in x.terms.items():
+        total += coeff.to_complex() * (power(qmat, a) @ power(pmat, b))
+    return total
 
 
 def test_nc_matrix_oracle_agrees_with_word_algebra():

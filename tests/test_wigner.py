@@ -601,6 +601,17 @@ def test_json_readers_refuse_entries_that_are_not_numbers():
     assert read_grid == grid and np.all(data == 1.0)
 
 
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize("row", [[0.5, True], [1, False]])
+def test_json_reader_refuses_a_boolean_among_numbers(key, row):
+    # numpy gives these rows a float64 and an int64 dtype, so the dtype check misses them
+    grid = GridSpec(4, 1.0)
+    payload = json.loads(json.dumps(phase_to_json(np.zeros(grid.phase_shape), grid)))
+    payload[key][3] = row * 2
+    with pytest.raises(ValueError, match="booleans"):
+        phase_from_json(json.dumps(payload))
+
+
 def test_json_shape_and_axes_validation():
     grid = GridSpec(8, 0.5)
     payload = phase_to_json(np.zeros(grid.phase_shape), grid)
