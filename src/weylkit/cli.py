@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITE_NAMES, run_all, run_suite
-from .grids import _CANONICAL, GridSpec, hermite_basis
+from .grids import _CANONICAL, GridSpec, _json_numbers, hermite_basis
 
 __all__ = ["RunConfig", "main"]
 
@@ -243,8 +243,8 @@ def _load_state_file(path: str, n: int) -> np.ndarray:
     try:
         if path.endswith(".json"):
             payload = json.loads(text)
-            re = np.asarray(payload["re"], dtype=float)
-            im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
+            re = _json_numbers(payload["re"], "re")
+            im = _json_numbers(payload.get("im", np.zeros_like(re)), "im")
             if im.shape != re.shape:  # one would broadcast over the other
                 raise UsageError(f"state file {path!r}: im has shape {im.shape}, re {re.shape}")
             psi = np.empty(re.shape, dtype=complex)  # 1j * inf would put a NaN in .real
@@ -403,7 +403,7 @@ def _grid_consistency(spec, n: int, seed: int) -> float:
     grid = GridSpec(n, float(np.sqrt(np.pi / n)))
     qs, ps = grid.q_matrix(), grid.p_matrix()
     samples = spec.a_function(qs, ps)
-    gridded = alpha_kernel_from_A(samples, grid, background=spec.background)
+    gridded = alpha_kernel_from_A(samples, grid)
     closed = spec.alpha_kernel()
     rng = np.random.default_rng(seed)
     # 100 point pairs, each drawn as (q1, p1) then (jq, jp), in that order
@@ -418,11 +418,12 @@ def _grid_consistency(spec, n: int, seed: int) -> float:
 
 
 def cmd_factorize(args, config: RunConfig, explicit) -> int:
-    from .factorize import (_DENSE_N_MAX, _STEP, _THRESHOLD, GaussianAlphaSpec, _check_mesh,
+    from .factorize import (_DENSE_N_MAX, _STEP, _THRESHOLD, GaussianAlphaSpec, _uv_mesh,
                             autv_residual, recover_A)
     try:
         spec = GaussianAlphaSpec(args.tau, args.sigma, args.epsilon)
-        _check_mesh(spec.r_function())  # before any quadrature allocates
+        R = spec.r_function()
+        _uv_mesh(R)  # refuses a mesh past the cap before any quadrature runs
     except ValueError as exc:
         raise UsageError(str(exc))
     # --grid-n is checked as a grid when the config is built; a config-file
@@ -443,7 +444,6 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
                 "to 8 half-steps, past the lattice of a smaller grid"
             )
     threshold = config.tol if config.tol is not None else _THRESHOLD
-    R = spec.r_function()
     residual = autv_residual(R)
 
     ratio = None
@@ -467,7 +467,7 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
     ticks, points = _recovery_lattice()
     if admitted or args.override:
         # the gate above has already decided; recover without repeating it
-        values = recover_A(R, points, background=spec.background, override=True)
+        values = recover_A(R, points, override=True)
         recovered_name = _write_recovered(values, ticks, config)
 
     body = {
@@ -475,7 +475,7 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
             "tau": spec.tau,
             "sigma": spec.sigma,
             "epsilon": spec.epsilon,
-            "background": spec.background,
+            "background": 0.0,
         },
         "residual": residual,
         "threshold": threshold,

@@ -23,7 +23,7 @@ for all (x, y, u', v').  When it holds, the symbol is recovered (up to an
 arbitrary real background constant — a constant phase of the factorized
 unitary) by
 
-    A(x, y) = background + 4i ∬ sin(vx+uy) R(u,v,x,y) du dv  −  (same at a
+    A(x, y) = 4i ∬ sin(vx+uy) R(u,v,x,y) du dv  −  (same at a
     far-field anchor point),
 
 where the anchor removes the −Ã(0,0) offset inherent in the integral.  The
@@ -32,8 +32,8 @@ which forward map, R, consistency and recovery are all known exactly.
 
 All plane integrals are midpoint Riemann quadratures over boxes sized from
 the stated decay extents (tails below ~1e−12); boxes are reported on the
-module logger.  The (u, v) mesh is capped at ``_MESH_POINTS_MAX`` points,
-checked before anything is allocated.
+module logger.  One function, ``_uv_mesh``, decides the (u, v) mesh; it is
+capped at ``_MESH_POINTS_MAX`` points, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ _THRESHOLD = 1e-4
 
 # Gaussian tails e^{-L^2/w} drop below 1e-12 for L = TAIL_FACTOR * sqrt(w).
 TAIL_FACTOR = math.sqrt(math.log(1e12))  # ~5.26
-
-
-def _axis_count(extent: float, step: float) -> int:
-    return max(int(round(2 * extent / step)), 2)
-
-
-def _midpoints(extent: float, step: float) -> np.ndarray:
-    count = _axis_count(extent, step)
-    return (np.arange(count) + 0.5) * (2 * extent / count) - extent
 
 
 # ----------------------------------------------------------------------
@@ -138,14 +129,14 @@ class GaussianAlphaSpec:
         R(u,v,u',v') = i sin(uv' + ε u'v) exp(−u²/τ − v²/σ).
 
     Only ε = +1 satisfies the consistency identity; its generating symbol
-    is A(q,p) = background + 2π√(στ) exp(−σq² − τp²).  For ε = −1 the
-    kernel is a perfectly good antisymmetric generator but no A exists.
+    is A(q,p) = 2π√(στ) exp(−σq² − τp²), up to a real constant.  For
+    ε = −1 the kernel is a perfectly good antisymmetric generator but no A
+    exists.
     """
 
     tau: float
     sigma: float
     epsilon: int = 1
-    background: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.tau < math.inf and 0 < self.sigma < math.inf):
@@ -183,9 +174,9 @@ class GaussianAlphaSpec:
 
     def a_function(self, q, p):
         """The generating symbol (meaningful for ε = +1 only)."""
-        return self.background + 2 * math.pi * math.sqrt(
-            self.sigma * self.tau
-        ) * np.exp(-self.sigma * np.asarray(q) ** 2 - self.tau * np.asarray(p) ** 2)
+        return 2 * math.pi * math.sqrt(self.sigma * self.tau) * np.exp(
+            -self.sigma * np.asarray(q) ** 2 - self.tau * np.asarray(p) ** 2
+        )
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +184,7 @@ class GaussianAlphaSpec:
 # ----------------------------------------------------------------------
 
 
-def alpha_kernel_from_A(A, grid: GridSpec, *, background: float = 0.0) -> AlphaKernel:
+def alpha_kernel_from_A(A, grid: GridSpec) -> AlphaKernel:
     """Two-point kernel of a symbol sampled as a (2n, n) phase array.
 
     Ã̂ is tabulated on the shift lattice by dense matrix products and the
@@ -201,9 +192,8 @@ def alpha_kernel_from_A(A, grid: GridSpec, *, background: float = 0.0) -> AlphaK
     lattice and momenta on the dp/2 lattice.  Off-lattice points raise
     ValueError.  Limited to n <= 32 (the tabulation is dense).
 
-    ``background`` is subtracted from the samples before transforming
-    (the constant part of A carries no kernel content and would otherwise
-    alias into Ã̂).
+    A constant part of A carries no kernel content but aliases into Ã̂ on
+    the finite lattice; subtract it from the samples first.
     """
     if grid is None:
         raise ValueError("the samples need their grid")
@@ -212,7 +202,7 @@ def alpha_kernel_from_A(A, grid: GridSpec, *, background: float = 0.0) -> AlphaK
     A = np.asarray(A, dtype=complex)
     if A.shape != grid.phase_shape:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
-    a_hat_table = _fourier_lattice(A - background, grid)
+    a_hat_table = _fourier_lattice(A, grid)
     m = 2 * grid.n - 1
     dx, dp = grid.dx, grid.dp
 
@@ -258,56 +248,50 @@ def kernel_to_R(alpha: AlphaKernel) -> RFunction:
     return RFunction(fn, alpha.dq_extent, alpha.dp_extent)
 
 
-def _check_mesh(R: RFunction, step: float = _STEP) -> int:
-    """Points of the (u, v) mesh, counted without allocating it.
+def _uv_mesh(R: RFunction):
+    """The (u, v) midpoints, as a column and a row, and the cell area.
 
-    Raises ValueError past ``_MESH_POINTS_MAX``.
+    Each axis spans R's extent at step ``_STEP`` (at least two points).
+    Raises ValueError past ``_MESH_POINTS_MAX`` points, before allocating.
     """
-    nu, nv = _axis_count(R.u_extent, step), _axis_count(R.v_extent, step)
+    extents = (R.u_extent, R.v_extent)
+    nu, nv = counts = [max(int(round(2 * extent / _STEP)), 2) for extent in extents]
     if nu * nv > _MESH_POINTS_MAX:
         raise ValueError(
             f"quadrature mesh of {float(nu) * nv:.3g} points "
             f"(u box ±{R.u_extent:.3g}, "
-            f"v box ±{R.v_extent:.3g}, step {step:g}) exceeds the cap of "
+            f"v box ±{R.v_extent:.3g}, step {_STEP:g}) exceeds the cap of "
             f"{_MESH_POINTS_MAX} points"
         )
-    return nu * nv
-
-
-def _uv_mesh(R: RFunction, step: float):
-    _check_mesh(R, step)
-    u = _midpoints(R.u_extent, step)
-    v = _midpoints(R.v_extent, step)
-    weight = (u[1] - u[0]) * (v[1] - v[0])
-    return u[:, None], v[None, :], weight
+    u, v = ((np.arange(n) + 0.5) * (2 * L / n) - L for n, L in zip(counts, extents))
+    return u[:, None], v[None, :], (u[1] - u[0]) * (v[1] - v[0])
 
 
 def _sine_integral(R: RFunction, x, y, up, vp, u, v, weight):
     """∬ sin(vx + uy) R(u, v, u', v') du dv by midpoint quadrature.
 
-    ``x`` and ``y`` are scalars or equal-length 1-d arrays that share the
-    one slice (u', v'); the result is a complex scalar or a 1-d array to
-    match.  R is evaluated on the mesh once, and the split
+    ``x`` and ``y`` are equal-length 1-d arrays that share the one slice
+    (u', v'); the result is a complex 1-d array to match.  R is evaluated
+    on the mesh once, and the split
 
         sin(vx + uy) = sin(uy)·cos(vx) + cos(uy)·sin(vx)
 
     reduces all the sums to two matrix products with that slice.
     """
     r = np.broadcast_to(R.fn(u, v, up, vp), (u.size, v.size))
-    uy = np.multiply.outer(np.atleast_1d(y), u.ravel())
-    vx = np.multiply.outer(np.atleast_1d(x), v.ravel())
-    out = weight * np.sum(
+    uy = np.multiply.outer(y, u.ravel())
+    vx = np.multiply.outer(x, v.ravel())
+    return weight * np.sum(
         (np.sin(uy) @ r) * np.cos(vx) + (np.cos(uy) @ r) * np.sin(vx), axis=-1
     )
-    return out if np.ndim(x) or np.ndim(y) else out[0]
 
 
-def _grouped_integrals(R: RFunction, rows: np.ndarray, step: float) -> np.ndarray:
+def _grouped_integrals(R: RFunction, rows: np.ndarray) -> np.ndarray:
     """Sine integrals for an (N, 4) array of rows (x, y, u', v').
 
     One call of :func:`_sine_integral`, so one R slice, per distinct (u', v').
     """
-    u, v, weight = _uv_mesh(R, step)
+    u, v, weight = _uv_mesh(R)
     slices, which = np.unique(rows[:, 2:], axis=0, return_inverse=True)
     which = which.ravel()
     out = np.empty(len(rows), dtype=complex)
@@ -348,9 +332,7 @@ def autv_residual(R: RFunction, *, probe=None) -> float:
         R.v_extent,
         _STEP,
     )
-    lhs, plus, minus = _grouped_integrals(
-        R, np.concatenate([probe, plus, minus]), _STEP
-    ).reshape(3, -1)
+    lhs, plus, minus = _grouped_integrals(R, np.concatenate([probe, plus, minus])).reshape(3, -1)
     return float(np.max(np.abs(lhs - (plus - minus)), initial=0.0))
 
 
@@ -359,13 +341,7 @@ def autv_residual(R: RFunction, *, probe=None) -> float:
 # ----------------------------------------------------------------------
 
 
-def recover_A(
-    R: RFunction,
-    points,
-    *,
-    background: float = 0.0,
-    override: bool = False,
-) -> np.ndarray:
+def recover_A(R: RFunction, points, *, override: bool = False) -> np.ndarray:
     """Recover the symbol A at the given (x, y) points from its R kernel.
 
     The consistency residual is computed first and must not exceed
@@ -373,12 +349,13 @@ def recover_A(
     that has already gated passes it to avoid a second residual).  Past
     the gate,
 
-        A(x, y) = background + G(x, y) − G(anchor),
+        A(x, y) = G(x, y) − G(anchor),
         G(x, y) = 4i ∬ sin(vx + uy) R(u, v, x, y) du dv,
 
     with the anchor a far-field point, scaled from the decay extents of R,
-    where the decaying part of A is negligible.  Returns the real part;
-    the imaginary part is a quadrature residue for consistent kernels.
+    where the decaying part of A is negligible, so A is recovered up to
+    its real background constant.  Returns the real part; the imaginary
+    part is a quadrature residue for consistent kernels.
     """
     if not override:
         residual = autv_residual(R)
@@ -391,5 +368,5 @@ def recover_A(
     anchor = (TAIL_FACTOR ** 2 / R.v_extent, TAIL_FACTOR ** 2 / R.u_extent)
     logger.debug("recover_A anchor (%.3f, %.3f), step %.3f", *anchor, _STEP)
     xy = np.asarray([anchor, *points], dtype=float).reshape(-1, 2)
-    g = 4j * _grouped_integrals(R, np.concatenate([xy, xy], axis=1), _STEP)
-    return (g[1:] - g[0] + background).real
+    g = 4j * _grouped_integrals(R, np.concatenate([xy, xy], axis=1))
+    return (g[1:] - g[0]).real

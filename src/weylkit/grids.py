@@ -10,6 +10,7 @@ dp/2 on the odd-parity rows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -22,6 +23,23 @@ __all__ = ["GridSpec", "hermite_basis", "inner_h", "inner_k"]
 
 # the canonical JSON text of reports and array archives: sorted keys, no spaces, no NaN or inf
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _json_numbers(values, name: str) -> np.ndarray:
+    """Parsed JSON ``values`` (a number or nested lists of numbers) as an array.
+
+    Raises TypeError for null, strings, true and false.  numpy reads true
+    and false among numbers as 1 and 0, so the entries themselves are read.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold numbers, not {array.dtype}")
+    entries = [values]
+    for _ in range(array.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
+        raise TypeError(f"{name} must hold numbers, not booleans")
+    return array
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import _CANONICAL, GridSpec
+from .grids import _CANONICAL, GridSpec, _json_numbers
 
 __all__ = [
     "weyl_wigner",
@@ -641,10 +641,7 @@ def phase_from_json(payload) -> tuple:
         if isinstance(dx, bool) or not isinstance(dx, (int, float)):
             raise TypeError(f"grid dx {dx!r} is not a number")
         grid = GridSpec(payload["grid"]["n"], float(dx))
-        # JSON numbers only: null, true, false and strings make other dtypes
-        re, im = (np.asarray(payload[part]) for part in ("re", "im"))
-        if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
-            raise TypeError(f"re and im must hold numbers, not {re.dtype} and {im.dtype}")
+        re, im = (_json_numbers(payload[part], part) for part in ("re", "im"))
         # a JSON object's members carry no order: take the grid's axis names first
         axes = {**dict.fromkeys(_axes(grid)), **payload["axes"]}
         stated = {name: (axis["count"], axis["step"]) for name, axis in axes.items()}
@@ -653,9 +650,6 @@ def phase_from_json(payload) -> tuple:
         raise ValueError(f"malformed array payload: {exc!r}") from exc
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"re and im must each have shape {shape}")
-    # numpy reads true and false among numbers as 1 and 0: find them in the rows
-    if bool in set(map(type, itertools.chain(*payload["re"], *payload["im"]))):
-        raise ValueError("re and im must hold numbers, not booleans")
     A = np.empty(shape, dtype=complex)  # 1j * inf would put a NaN in .real
     A.real, A.imag = re, im
     return A, grid

@@ -560,6 +560,20 @@ def test_wigner_non_finite_state_file(tmp_path, capsys, name, content):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("entry", [True, False, "0.5", 2**64])
+def test_wigner_state_file_holds_json_numbers_only(tmp_path, capsys, part, entry):
+    # numpy would read these as 1.0, 0.0, 0.5 and 1.8e19 among float samples
+    payload = {"re": [0.1 * k for k in range(64)], "im": [0.0] * 64}
+    payload[part][10] = entry
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "wigner", f"file:{state}", "--out", str(out_dir))
+    assert code == 2 and not out and not out_dir.exists()
+    assert err.startswith("error: malformed state file") and f"{part} must hold numbers" in err
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the command ran before --out was validated")
 
@@ -617,6 +631,7 @@ def test_factorize_consistent_family(tmp_path, capsys):
         str(tmp_path),
     )
     assert code == 0
+    assert '"spec":{"background":0.0,"epsilon":1,"sigma":1.0,"tau":1.0}' in out
     body = json.loads(out)
     assert body["admitted"] is True
     assert body["residual"] < 1e-8
@@ -716,7 +731,7 @@ def _grid_consistency_loop(spec, n, seed):
     """The per-point loop that cli._grid_consistency replaced (oracle)."""
     grid = GridSpec(n, float(np.sqrt(np.pi / n)))
     samples = spec.a_function(grid.q_matrix(), grid.p_matrix())
-    gridded = alpha_kernel_from_A(samples, grid, background=spec.background)
+    gridded = alpha_kernel_from_A(samples, grid)
     closed = spec.alpha_kernel()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -784,6 +799,15 @@ def test_factorize_too_narrow_a_width_names_the_widths(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and not out
     assert "sigma" in err and "grid spacing" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("tau,sigma", [("1e12", "1"), ("1", "1e12"), ("5e6", "5")])
+def test_factorize_refuses_a_mesh_past_the_cap_by_the_mesh_rule(capsys, tau, sigma):
+    factorize_module = importlib.import_module("weylkit.factorize")
+    with pytest.raises(ValueError, match="exceeds the cap") as refusal:
+        factorize_module._uv_mesh(GaussianAlphaSpec(float(tau), float(sigma)).r_function())
+    code, out, err = run(capsys, "factorize", "--tau", tau, "--sigma", sigma, "--epsilon", "1")
+    assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
 
 
 def test_factorize_usage_errors(capsys):

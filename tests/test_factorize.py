@@ -75,12 +75,6 @@ def test_recovery_matches_generating_symbol():
     assert np.max(np.abs(values - expected)) < 1e-6
 
 
-def test_recovery_carries_background():
-    spec = GaussianAlphaSpec(tau=1.0, sigma=1.0, background=3.5)
-    values = recover_A(spec.r_function(), [(0.0, 0.0)], background=3.5)
-    assert abs(values[0] - spec.a_function(0.0, 0.0)) < 1e-6
-
-
 def test_recovery_gate_refuses_inconsistent_kernels():
     bad = GaussianAlphaSpec(tau=1.0, sigma=1.0, epsilon=-1).r_function()
     with pytest.raises(ValueError, match="consistency residual"):
@@ -95,7 +89,7 @@ def test_kernel_from_grid_samples_matches_closed_form():
     n = 32
     grid = GridSpec(n, float(np.sqrt(np.pi / n)))
     samples = spec.a_function(grid.q_matrix(), grid.p_matrix())
-    built = alpha_kernel_from_A(samples, grid, background=spec.background)
+    built = alpha_kernel_from_A(samples, grid)
     direct = spec.alpha_kernel()
     rng = np.random.default_rng(49)
     worst = 0.0
@@ -153,8 +147,8 @@ def _oracle_sine_integral(R, x, y, up, vp, u, v, weight):
     return weight * np.sum(np.sin(v * x + u * y) * R.fn(u, v, up, vp))
 
 
-def _oracle_residual(R, probe, step=0.1):
-    u, v, weight = factorize_module._uv_mesh(R, step)
+def _oracle_residual(R, probe):
+    u, v, weight = factorize_module._uv_mesh(R)
     worst = 0.0
     for x, y, up, vp in probe:
         lhs = _oracle_sine_integral(R, x, y, up, vp, u, v, weight)
@@ -166,8 +160,8 @@ def _oracle_residual(R, probe, step=0.1):
     return worst
 
 
-def _oracle_recovery(R, points, anchor, step=0.1):
-    u, v, weight = factorize_module._uv_mesh(R, step)
+def _oracle_recovery(R, points, anchor):
+    u, v, weight = factorize_module._uv_mesh(R)
 
     def g(x, y):
         return 4j * _oracle_sine_integral(R, x, y, x, y, u, v, weight)
@@ -205,20 +199,11 @@ def test_grouped_residual_matches_on_mixed_slices():
     for epsilon in (1, -1):
         R = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
         assert abs(autv_residual(R, probe=probe) - _oracle_residual(R, probe)) < 1e-12
-        u, v, weight = factorize_module._uv_mesh(R, 0.1)
+        u, v, weight = factorize_module._uv_mesh(R)
         rows = np.array(probe)
-        grouped = factorize_module._grouped_integrals(R, rows, 0.1)
+        grouped = factorize_module._grouped_integrals(R, rows)
         single = [_oracle_sine_integral(R, *row, u, v, weight) for row in rows]
         assert np.max(np.abs(grouped - single)) < 1e-12
-
-
-def test_sine_integral_keeps_the_scalar_form():
-    R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
-    u, v, weight = factorize_module._uv_mesh(R, 0.1)
-    value = factorize_module._sine_integral(R, 0.4, -0.3, 1.0, 0.5, u, v, weight)
-    assert np.ndim(value) == 0
-    oracle = _oracle_sine_integral(R, 0.4, -0.3, 1.0, 0.5, u, v, weight)
-    assert abs(value - oracle) < 1e-12
 
 
 def test_grouped_recovery_matches_per_integral_loop():
@@ -272,7 +257,7 @@ def test_quadrature_mesh_is_capped_before_allocation():
     for extents in ((1e150, 1.0), (1.0, 1e150), (5e6, 5.0)):
         R = RFunction(never, *extents)
         with pytest.raises(ValueError, match="exceeds the cap"):
-            factorize_module._uv_mesh(R, 0.1)
+            factorize_module._uv_mesh(R)
         with pytest.raises(ValueError, match="exceeds the cap"):
             autv_residual(R)
         with pytest.raises(ValueError, match="exceeds the cap"):
@@ -283,4 +268,5 @@ def test_quadrature_mesh_is_capped_before_allocation():
             RFunction(never, *extents)
     # the default family sits far below the cap
     R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
-    assert factorize_module._check_mesh(R) < factorize_module._MESH_POINTS_MAX // 50
+    u, v, _ = factorize_module._uv_mesh(R)
+    assert u.size * v.size < factorize_module._MESH_POINTS_MAX // 50
