@@ -293,8 +293,14 @@ def _parse_state(spec: str, grid: GridSpec, r_max: int) -> np.ndarray:
         else:
             coeff, name = 1.0, term
         terms.append((sign * coeff, _basis_index(name.strip(), r_max)))
-    # rows only up to the highest referenced index, however large r_max is
-    basis = hermite_basis(grid, max((k for _, k in terms), default=0) + 1)
+    # rows only up to the highest referenced index, however large r_max is,
+    # and never more than 2n: the basis stays within half of one phase array
+    top = max((k for _, k in terms), default=0)
+    if top + 1 > 2 * grid.n:
+        raise UsageError(
+            f"basis index {top} out of range for n = {grid.n} (at most 2n - 1 = {2 * grid.n - 1})"
+        )
+    basis = hermite_basis(grid, top + 1)
     psi = np.zeros(grid.n, dtype=complex)
     with np.errstate(over="ignore"):  # shows as a non-finite norm
         for coeff, k in terms:

@@ -255,7 +255,9 @@ def _uv_mesh(R: RFunction):
     Raises ValueError past ``_MESH_POINTS_MAX`` points, before allocating.
     """
     extents = (R.u_extent, R.v_extent)
-    nu, nv = counts = [max(int(round(2 * extent / _STEP)), 2) for extent in extents]
+    # an extent past about 9e306 spans inf steps, which no int can count
+    spans = [2 * extent / _STEP for extent in extents]
+    nu, nv = counts = [max(int(round(x)), 2) if x < math.inf else x for x in spans]
     if nu * nv > _MESH_POINTS_MAX:
         raise ValueError(
             f"quadrature mesh of {float(nu) * nv:.3g} points "

@@ -232,9 +232,10 @@ def purity_residual(W: np.ndarray, grid: GridSpec) -> tuple:
     both ~0 exactly when W is the Wigner function of a unit-norm state.
     """
     W = np.asarray(W)
-    # W ⋆ W − W/2π by blocks of rows, each reduced as it comes: at the peak
-    # only W, the kernel K of W and K·K are alive
-    square = _phase_blocks(_compose((weyl_wigner_inv(W, grid),), lambda k: k @ k, grid.dx), grid)
+    # W ⋆ W − W/2π in the transform's own blocks, each reduced as it comes
+    # (one block on the table path, which frees K·K first): on the row path
+    # only W, the kernel K of W and K·K are alive at the peak
+    square = _phase_blocks(grid, _compose((weyl_wigner_inv(W, grid),), lambda k: k @ k, grid.dx))
     W_rows = W.reshape(grid.n, 2, grid.n)
     maxima = []
     for pairs, block in square:

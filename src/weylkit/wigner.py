@@ -25,15 +25,17 @@ round-trip at machine precision in floats.  The vectors w_σ, c_σ are
 built once per grid (``_plan``, cached on the ``GridSpec``).
 
 Two paths move kernel entries into slots, with the same arithmetic on the
-same values.  A grid whose (2n, n) complex array fits a 4 MiB L2 (n ≤ 362)
-gathers the whole kernel through a cached n×n table of slots
-(``_scatter``).  A larger grid streams: each row takes its anti-diagonal
-as one strided slice, and the weight, FFT and phase passes run on blocks
-of whole row pairs (``_row_blocks``), so that no index table, no full row
-array and, for ``wigner_of_state``, no outer product is built.  Every pass
-keeps the (pairs, 2, n) × (2, n) broadcast of the full transform: numpy
-may pick another complex-multiply loop for another shape, and its bits
-can differ.
+same values; ``_streams`` picks one from n alone, once per direction.  A
+grid whose (2n, n) complex array fits a 4 MiB L2 (n ≤ 362) moves the whole
+kernel through a cached n×n table of slots (``_scatter``) as one block.  A
+larger grid streams blocks of whole row pairs, each row taking its
+anti-diagonal as one strided slice, so that no index table, no full row
+array and, for a state, no outer product is built.  Every forward caller
+draws its blocks from one generator (``_phase_blocks``), which runs the
+weight, FFT and phase passes; the inverse is one loop over blocks.  Every
+pass keeps the (pairs, 2, n) × (2, n) broadcast of the full transform:
+numpy may pick another complex-multiply loop for another shape, and its
+bits can differ.
 
 Structural facts used throughout (and enforced by tests):
 
@@ -165,18 +167,28 @@ def _skew(K: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_blocks(grid: GridSpec, diagonal, out=None):
-    """Yield (pairs, block): the transform, as blocks of the (n, 2, n) row layout.
+def _phase_blocks(grid: GridSpec, K=None, psi=None, out=None):
+    """Yield (pairs, block): the transform of the kernel ``K``, or of ψ ⊗ ψ̄
+    for a state ``psi``, in blocks of the (n, 2, n) row layout.
 
-    ``diagonal(s, entries, mirror)`` returns the kernel's anti-diagonal s
-    (see ``_diagonals``).  The blocks are views of a zeroed ``out`` of
-    shape (n, 2, n) if one is given, else of one buffer block that the
-    next block overwrites.
+    The table path yields one block of all n pairs; the row path yields
+    blocks of ``_block_pairs(n)`` pairs and builds no outer product.  The
+    blocks are views of a zeroed ``out`` of shape (n, 2, n) if one is
+    given, else of one buffer block that the next block overwrites.  Pass
+    ``K`` bound to no other name: the table path frees it before yielding.
     """
     n = grid.n
     plan = _plan(grid)
-    rows = _diagonals(n)
-    step = _block_pairs(n)
+    streams = _streams(n)
+    step = _block_pairs(n) if streams else n
+    if streams:
+        rows = _diagonals(n)
+        if psi is None:
+            skew = _skew(K)
+        else:
+            conj = np.conj(psi)
+    elif psi is not None:
+        K = np.outer(psi, np.conj(psi))
     if out is None:
         buffer = np.empty((step, 2, n), dtype=complex)
     for r0 in range(0, n, step):
@@ -185,31 +197,22 @@ def _row_blocks(grid: GridSpec, diagonal, out=None):
             block.fill(0)
         else:
             block = out[r0 : r0 + step]
-        block_rows = block.reshape(-1, n)
-        for row, (s, entries, mirror, first, head, tail) in zip(
-            block_rows, rows[2 * r0 : 2 * r0 + len(block_rows)]
-        ):
-            values = diagonal(s, entries, mirror)
-            row[head] = values[:first]
-            row[tail] = values[first:]
+        if streams:
+            block_rows = block.reshape(-1, n)
+            for row, (s, entries, mirror, first, head, tail) in zip(
+                block_rows, rows[2 * r0 : 2 * r0 + len(block_rows)]
+            ):
+                # a state's anti-diagonal ψ_i conj(ψ_{s−i}) is its own product
+                values = skew[s, entries] if psi is None else psi[entries] * conj[mirror]
+                row[head] = values[:first]
+                row[tail] = values[first:]
+        else:
+            block.reshape(-1)[_scatter(n)] = K
+            del K
         block *= plan.weight
         np.fft.fft(block, axis=2, out=block)
         block *= plan.phase
         yield slice(r0, r0 + len(block)), block
-
-
-def _phase_blocks(K: np.ndarray, grid: GridSpec):
-    """Yield (pairs, block): ``weyl_wigner(K, grid)`` in blocks of the (n, 2, n)
-    row layout, each valid until the next is drawn; one block on the table path.
-    Pass ``K`` bound to no other name: the table path frees it before yielding."""
-    n = grid.n
-    if not _streams(n):
-        A = weyl_wigner(K, grid)
-        del K
-        yield slice(None), A.reshape(n, 2, n)
-        return
-    skew = _skew(K)
-    yield from _row_blocks(grid, lambda s, entries, _: skew[s, entries])
 
 
 def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -223,16 +226,8 @@ def weyl_wigner(K: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"kernel must have shape {grid.kernel_shape}")
     n = grid.n
     rows = np.zeros((n, 2, n), dtype=complex)  # axis 1 is the parity σ
-    if _streams(n):
-        skew = _skew(K)
-        for _ in _row_blocks(grid, lambda s, entries, _: skew[s, entries], rows):
-            pass  # the blocks are views of rows
-        return rows.reshape(grid.phase_shape)
-    plan = _plan(grid)
-    rows.reshape(-1)[_scatter(n)] = K
-    rows *= plan.weight
-    np.fft.fft(rows, axis=2, out=rows)
-    rows *= plan.phase
+    for _ in _phase_blocks(grid, K, out=rows):
+        pass  # the blocks are views of rows
     return rows.reshape(grid.phase_shape)
 
 
@@ -247,21 +242,20 @@ def weyl_wigner_inv(A: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"phase function must have shape {grid.phase_shape}")
     n = grid.n
     plan = _plan(grid)
-    if not _streams(n):
-        rows = A.reshape(n, 2, n) * plan.inv_phase
-        np.fft.ifft(rows, axis=2, out=rows)
-        rows *= plan.inv_weight
-        return rows.ravel()[_scatter(n)]
-    K = np.empty(grid.kernel_shape, dtype=complex)  # every entry lies on one anti-diagonal
-    skew = _skew(K)
-    rows = _diagonals(n)
-    step = _block_pairs(n)
+    streams = _streams(n)
+    step = _block_pairs(n) if streams else n
+    if streams:
+        K = np.empty(grid.kernel_shape, dtype=complex)  # every entry lies on one anti-diagonal
+        skew = _skew(K)
+        rows = _diagonals(n)
     buffer = np.empty((step, 2, n), dtype=complex)
     for r0 in range(0, n, step):
         pairs = A.reshape(n, 2, n)[r0 : r0 + step]
         block = np.multiply(pairs, plan.inv_phase, out=buffer[: len(pairs)])
         np.fft.ifft(block, axis=2, out=block)
         block *= plan.inv_weight
+        if not streams:  # the one block holds every row
+            return block.reshape(-1)[_scatter(n)]
         block_rows = block.reshape(-1, n)
         for row, (s, entries, _, first, head, tail) in zip(
             block_rows, rows[2 * r0 : 2 * r0 + len(block_rows)]
@@ -302,15 +296,11 @@ def wigner_of_state(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     if psi.shape != (grid.n,):
         raise ValueError("state must be a 1-d array of length n")
     n = grid.n
-    if not _streams(n):
-        W = weyl_wigner(np.outer(psi, np.conj(psi)), grid)
-        W /= 2 * math.pi  # in place: the bits of the out-of-place complex division
-        return W.real.copy()
-    # each anti-diagonal ψ_i conj(ψ_{s−i}) as its own product: no outer product
-    conj = np.conj(psi)
-    W = np.empty(grid.phase_shape)
-    for pairs, block in _row_blocks(grid, lambda s, entries, mirror: psi[entries] * conj[mirror]):
-        block /= 2 * math.pi
+    W = None  # made at the first block, once the table path has freed its outer product
+    for pairs, block in _phase_blocks(grid, psi=psi):
+        block /= 2 * math.pi  # in place: the bits of the out-of-place complex division
+        if W is None:
+            W = np.empty(grid.phase_shape)
         W.reshape(n, 2, n)[pairs] = block.real
     return W
 

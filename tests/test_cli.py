@@ -511,6 +511,26 @@ def test_wigner_builds_only_the_referenced_basis_rows(tmp_path, monkeypatch, cap
     assert counts == [1, 4]
 
 
+def test_basis_index_past_2n_is_refused_before_building_the_basis(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 10^8 rows of n = 2048 would be 1.5 TiB; --r-max alone does not bound them
+    import weylkit.cli
+
+    def never(grid, count):
+        raise AssertionError(f"hermite_basis({count}) must not be called")
+
+    monkeypatch.setattr(weylkit.cli, "hermite_basis", never)
+    for index, n in (("99999999", "2048"), ("128", "64"), ("8", "4")):
+        code, out, err = run(capsys, "wigner", f"hermite:{index}", "--r-max", "100000000",
+                             "--grid-n", n, "--out", str(tmp_path))
+        assert code == 2 and not out
+        assert f"basis index {index} out of range for n = {n}" in err
+    assert list(tmp_path.iterdir()) == []
+    # the r_max check comes first and keeps its message
+    code, _, err = run(capsys, "wigner", "hermite:99", "--grid-n", "4")
+    assert code == 2 and "(r_max = 8)" in err
+
+
 def test_wigner_bad_state_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"re": [1.0, 2.0]}))  # wrong length

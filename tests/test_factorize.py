@@ -254,7 +254,8 @@ def test_quadrature_mesh_is_capped_before_allocation():
     def never(u, v, up, vp):
         raise AssertionError("R must not be evaluated past the mesh cap")
 
-    for extents in ((1e150, 1.0), (1.0, 1e150), (5e6, 5.0)):
+    # past about 9e306 an extent spans inf steps, which no int can count
+    for extents in ((1e150, 1.0), (1.0, 1e150), (5e6, 5.0), (1e308, 1.0), (1.0, 1e308)):
         R = RFunction(never, *extents)
         with pytest.raises(ValueError, match="exceeds the cap"):
             factorize_module._uv_mesh(R)

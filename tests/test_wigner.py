@@ -536,6 +536,37 @@ def test_wigner_pipeline_peaks_are_bounded(tmp_path):
         assert peak < bound * unit, (stage, peak / unit)
 
 
+def test_table_path_peaks_are_bounded():
+    # the stages of the test above at n = 256, which takes the table path:
+    # each holds a full (2n, n) row array, in units of one (2 MiB)
+    grid = GridSpec(256, math.sqrt(math.pi / 256))
+    assert not wigner._streams(grid.n)
+    unit = 2 * grid.n * grid.n * 16
+    psi1, psi = hermite_basis(grid, 3)[1:]
+    K = np.outer(psi, psi.conj())
+    A = weyl_wigner(K, grid)
+    B = weyl_wigner(np.outer(psi, psi1.conj()), grid)
+    W = wigner_of_state(psi, grid)
+    stages = [
+        (lambda: weyl_wigner(K, grid), 1.25),
+        (lambda: weyl_wigner_inv(A, grid), 1.75),  # the row array and the kernel
+        (lambda: wigner_of_state(psi, grid), 1.75),  # W is made once the outer product is freed
+        (lambda: purity_residual(W, grid), 1.75),
+        (lambda: star(A, A, grid), 2.25),
+        (lambda: star_adjoint(A, grid), 1.75),
+        (lambda: moyal_bracket(A, B, grid), 2.25),
+    ]
+    for stage, bound in stages:
+        stage()  # the grid's plan and slot table are cached before tracing
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * unit, (stage, peak / unit)
+
+
 def test_real_json_im_is_shared_zero_rows():
     # a real array's im rows share one list of exact zeros; the text is
     # that of its complex upcast

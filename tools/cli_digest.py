@@ -88,9 +88,17 @@ COMMANDS = [
     ("wigner", "hermite:2", "--format", "csv"),
     ("wigner", "0.6*hermite:0+0.8j*hermite:1"),
     ("wigner", "hermite:3 - 2*hermite:1", "--grid-n", "128", "--dx", "0.2"),
+    # n ≥ 364 takes the row path of the transforms
     ("wigner", "hermite:1", "--grid-n", "512", "--dx", repr(math.sqrt(math.pi / 512))),
+    ("wigner", "hermite:1", "--grid-n", "512", "--dx", repr(math.sqrt(math.pi / 512)),
+     "--format", "csv"),
+    ("check", "wigner", "--grid-n", "400", "--dx", "0.0886"),
+    ("star-demo", "--grid-n", "384", "--dx", "0.0905"),
     ("wigner", "1e-170*hermite:0"),
     ("wigner", "1e-320*hermite:0"),
+    # the top basis index that n = 64 accepts (2n − 1), and one past it
+    ("wigner", "hermite:127", "--r-max", "200"),
+    ("wigner", "hermite:128", "--r-max", "200"),
     *[("wigner", f"file:{name}") for name in sorted(INPUTS) if name.endswith((".json", ".csv"))],
     ("wigner", "file:s.csv", "--format", "csv"),
     ("wigner", "file:nan.json", "--grid-n", "4"),
