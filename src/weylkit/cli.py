@@ -9,7 +9,10 @@ imports the layers it uses, so a grid request loads no exact module.
 
 Exit codes: 0 success, 1 invariant failure or gate refusal, 2 usage error
 (including a grid size n above ``_GRID_N_MAX``, an ``--out`` that is not
-a directory, or outputs that cannot be written).
+a directory, outputs that cannot be written, or a run whose values leave
+float range, which writes nothing).  Every command runs with numpy's float
+warnings off; a warning from the library prints as one ``warning:`` line on
+stderr, whatever the interpreter's warning filters say.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -160,37 +164,32 @@ def _envelope(command: str, config: RunConfig, body: dict) -> dict:
     }
 
 
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _emit(name: str, report: dict, config: RunConfig, files: dict) -> None:
+    """Write ``files`` and then the report ``name`` under ``--out``; print the report.
 
-
-def _require_finite(what: str, grid: GridSpec, *values) -> None:
-    if not all(np.isfinite(v).all() for v in values):
-        raise UsageError(
-            f"{what} on this grid (n = {grid.n}, dx = {grid.dx!r}) gives "
-            "non-finite values; choose a grid spacing within float range"
-        )
-
-
-def _emit_report(name: str, report: dict, config: RunConfig) -> None:
+    ``files`` maps a file name to (values, write); ``write(fh, values)``
+    writes the file.  The report is encoded and every values array checked
+    before the directory is made, so a non-finite run writes nothing.
+    """
     try:
         text = canonical_json(report)
     except ValueError:  # allow_nan=False: a NaN or inf reached the report
-        raise UsageError(
-            "the run gives non-finite values; choose a grid spacing within float range"
-        ) from None
-    (_out_dir(config) / name).write_text(text + "\n")
+        raise FloatingPointError from None
+    if not all(np.isfinite(values).all() for values, _ in files.values()):
+        raise FloatingPointError
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for file_name, (values, write) in files.items():
+        with open(out / file_name, "w") as fh:
+            write(fh, values)
+    (out / name).write_text(text + "\n")
     print(text)
 
 
-def _write_phase_array(stem: str, A, grid: GridSpec, config: RunConfig) -> str:
+def _phase_writer(grid: GridSpec, config: RunConfig):
     from .wigner import write_phase_csv, write_phase_json
-    name = f"{stem}.{config.format}"
-    with open(_out_dir(config) / name, "w") as fh:
-        (write_phase_csv if config.format == "csv" else write_phase_json)(fh, A, grid)
-    return name
+    write = write_phase_csv if config.format == "csv" else write_phase_json
+    return lambda fh, A: write(fh, A, grid)
 
 
 # ----------------------------------------------------------------------
@@ -302,17 +301,15 @@ def _parse_state(spec: str, grid: GridSpec, r_max: int) -> np.ndarray:
         )
     basis = hermite_basis(grid, top + 1)
     psi = np.zeros(grid.n, dtype=complex)
-    with np.errstate(over="ignore"):  # shows as a non-finite norm
-        for coeff, k in terms:
-            psi = psi + coeff * basis[k]
+    for coeff, k in terms:
+        psi = psi + coeff * basis[k]  # an overflow shows as a non-finite norm
     return psi
 
 
 def cmd_wigner(args, config: RunConfig, explicit) -> int:
     grid = _grid(config)
     psi = _parse_state(args.state, grid, config.r_max)
-    with np.errstate(over="ignore"):  # checked just below
-        norm = float(np.sqrt(grid.dx) * np.linalg.norm(psi))
+    norm = float(np.sqrt(grid.dx) * np.linalg.norm(psi))
     peak = 1.0
     if norm == 0.0 and psi.any():  # the squares of tiny samples underflow
         # by parts: a complex divide by a subnormal peak overflows
@@ -328,11 +325,9 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
     psi = psi / norm  # unit norm: dx * sum |psi|^2 = 1
     from .star import purity_residual  # here: a bad state loads no grid layer
     from .wigner import wigner_of_state
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        W = wigner_of_state(psi, grid)
-        r1, r2 = purity_residual(W, grid)
-    _require_finite("the state", grid, W, [norm, r1, r2])
-    name = _write_phase_array("wigner", W, grid, config)
+    W = wigner_of_state(psi, grid)
+    r1, r2 = purity_residual(W, grid)
+    name = f"wigner.{config.format}"
     report = _envelope(
         "wigner",
         config,
@@ -345,7 +340,7 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
             "files": {"wigner": name},
         },
     )
-    _emit_report("wigner-report.json", report, config)
+    _emit("wigner-report.json", report, config, {name: (W, _phase_writer(grid, config))})
     return 0
 
 
@@ -357,14 +352,13 @@ def cmd_wigner(args, config: RunConfig, explicit) -> int:
 def cmd_check(args, config: RunConfig, explicit) -> int:
     """Run ``args.suite``; ``reps`` is this command on the reps suite."""
     grid = _grid(config) if explicit & {"n", "dx"} else None
-    with np.errstate(all="ignore"):  # a non-finite residual is refused in _emit_report
-        if args.suite == "all":
-            body = run_all(seed=config.seed, tol=config.tol, grid=grid)
-        else:
-            body = run_suite(args.suite, seed=config.seed, tol=config.tol, grid=grid)
+    if args.suite == "all":
+        body = run_all(seed=config.seed, tol=config.tol, grid=grid)
+    else:
+        body = run_suite(args.suite, seed=config.seed, tol=config.tol, grid=grid)
     report = _envelope(args.command, config, body)
     name = "reps-report.json" if args.command == "reps" else f"check-{args.suite}.json"
-    _emit_report(name, report, config)
+    _emit(name, report, config, {})
     return 0 if body["passed"] else 1
 
 
@@ -378,24 +372,17 @@ def _recovery_lattice():
     return ticks, [(x, y) for x in ticks for y in ticks]
 
 
-def _write_recovered(values, ticks, config: RunConfig) -> str:
-    name = f"recovered_A.{config.format}"
-    path = _out_dir(config) / name
-    grid_vals = np.asarray(values, dtype=float).reshape(ticks.size, ticks.size)
-    if config.format == "csv":
-        with open(path, "w") as fh:
-            fh.write("# columns q,p,A\n")
-            for i, x in enumerate(ticks):
-                for j, y in enumerate(ticks):
-                    fh.write(f"{float(x)!r},{float(y)!r},{float(grid_vals[i, j])!r}\n")
-    else:
-        payload = {
-            "q": ticks.tolist(),
-            "p": ticks.tolist(),
-            "values": grid_vals.tolist(),
-        }
-        path.write_text(canonical_json(payload) + "\n")
-    return name
+def _recovered_writer(ticks, config: RunConfig):
+    """write(fh, values) for A at (ticks[i], ticks[j]) = values[i, j]."""
+    def write(fh, values):
+        if config.format == "json":
+            payload = {"q": ticks.tolist(), "p": ticks.tolist(), "values": values.tolist()}
+            return fh.write(canonical_json(payload) + "\n")
+        fh.write("# columns q,p,A\n")
+        for i, x in enumerate(ticks):
+            for j, y in enumerate(ticks):
+                fh.write(f"{float(x)!r},{float(y)!r},{float(values[i, j])!r}\n")
+    return write
 
 
 def _grid_consistency(spec, n: int, seed: int) -> float:
@@ -469,12 +456,13 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
         grid_consistency = _grid_consistency(spec, args.n, config.seed)
 
     admitted = residual <= threshold
-    recovered_name = None
+    files = {}
     ticks, points = _recovery_lattice()
     if admitted or args.override:
         # the gate above has already decided; recover without repeating it
-        values = recover_A(R, points, override=True)
-        recovered_name = _write_recovered(values, ticks, config)
+        values = np.asarray(recover_A(R, points, override=True), dtype=float)
+        files[f"recovered_A.{config.format}"] = (values.reshape(ticks.size, -1),
+                                                 _recovered_writer(ticks, config))
 
     body = {
         "spec": {
@@ -488,14 +476,14 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
         "admitted": admitted,
         "overridden": bool(args.override and not admitted),
         "residual_ratio": ratio,
-        "recovered_A_path": recovered_name,
+        "recovered_A_path": next(iter(files), None),
         "box": {"q": [-2.0, 2.0], "p": [-2.0, 2.0]},
         "probe_lattice": {"count": int(ticks.size), "step": float(ticks[1] - ticks[0])},
     }
     if grid_consistency is not None:
         body["grid_consistency"] = grid_consistency
     report = _envelope("factorize", config, body)
-    _emit_report("factorize-report.json", report, config)
+    _emit("factorize-report.json", report, config, files)
     return 0 if admitted or args.override else 1
 
 
@@ -513,25 +501,23 @@ def cmd_star_demo(args, config: RunConfig, explicit) -> int:
         else GridSpec(32, 0.3125)
     )
     basis = hermite_basis(grid, 2)
-    with np.errstate(all="ignore"):  # a non-finite result is refused just below
-        w0 = wigner_of_state(basis[0], grid)
-        w1 = wigner_of_state(basis[1], grid)
-        phi01 = weyl_wigner(np.outer(basis[0], basis[1].conj()), grid)
-        phi10 = weyl_wigner(np.outer(basis[1], basis[0].conj()), grid)
-        phi00 = weyl_wigner(np.outer(basis[0], basis[0].conj()), grid)
+    w0 = wigner_of_state(basis[0], grid)
+    w1 = wigner_of_state(basis[1], grid)
+    phi01 = weyl_wigner(np.outer(basis[0], basis[1].conj()), grid)
+    phi10 = weyl_wigner(np.outer(basis[1], basis[0].conj()), grid)
+    phi00 = weyl_wigner(np.outer(basis[0], basis[0].conj()), grid)
 
-        ground = float(np.max(purity_residual(w0, grid)))
-        excited = float(np.max(purity_residual(w1, grid)))
-        cross = float(np.max(np.abs(star(w0, w1, grid))))
-        product = star(phi01, phi10, grid)
-        units = float(np.max(np.abs(product - phi00)))
-        nilpotent = float(np.max(np.abs(star(phi01, phi01, grid))))
-    _require_finite("the demonstration", grid, product, [ground, excited, cross, nilpotent])
+    ground = float(np.max(purity_residual(w0, grid)))
+    excited = float(np.max(purity_residual(w1, grid)))
+    cross = float(np.max(np.abs(star(w0, w1, grid))))
+    product = star(phi01, phi10, grid)
+    units = float(np.max(np.abs(product - phi00)))
+    nilpotent = float(np.max(np.abs(star(phi01, phi01, grid))))
 
     tol = config.tol if config.tol is not None else 1e-8
     passed = bool(np.max([ground, excited, cross, units, nilpotent]) <= tol)
 
-    name = _write_phase_array("star-demo-product", product, grid, config)
+    name = f"star-demo-product.{config.format}"
     report = _envelope(
         "star-demo",
         config,
@@ -553,7 +539,8 @@ def cmd_star_demo(args, config: RunConfig, explicit) -> int:
             "files": {"product": name},
         },
     )
-    _emit_report("star-demo-report.json", report, config)
+    _emit("star-demo-report.json", report, config,
+          {name: (product, _phase_writer(grid, config))})
     return 0 if passed else 1
 
 
@@ -631,19 +618,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config, explicit = _build_config(args)
-        return args.func(args, config, explicit)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # reads are UsageErrors already: this is an output write
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:  # an overflow or a division by an underflowed zero
-        print(
-            f"error: the run left float range ({exc}); choose a grid spacing within "
-            "float range",
-            file=sys.stderr,
-        )
-        return 2
+    # one float rule and one warning channel for every command, restored on
+    # return: numpy's float warnings are off (_emit refuses a non-finite
+    # value), and each library warning prints once per place as one line
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config, explicit = _build_config(args)
+            return args.func(args, config, explicit)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:  # reads are UsageErrors already: this is an output write
+            print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+            return 2
+        except ArithmeticError:  # from _emit, a float overflow or a division by an underflowed 0
+            print("error: the run gives non-finite values; choose a grid spacing within "
+                  "float range", file=sys.stderr)
+            return 2

@@ -129,7 +129,7 @@ def hermite_basis(grid: GridSpec, count: int) -> np.ndarray:
     if turning > extent:
         warnings.warn(
             f"top basis state (index {count - 1}) has turning radius "
-            f"{turning:.2f} beyond the grid extent {extent:.2f}; "
+            f"{turning:.2f} beyond the grid extent {extent:.3g}; "
             "inner products will lose accuracy",
             stacklevel=2,
         )

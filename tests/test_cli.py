@@ -10,6 +10,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import weylkit
 from weylkit import GaussianAlphaSpec, GridSpec, alpha_kernel_from_A
 from weylkit.cli import (
     RunConfig,
@@ -296,13 +299,20 @@ def test_check_loose_tolerance_passes_coarse_grid(tmp_path, capsys):
 _NON_FINITE = "error: the run gives non-finite values; choose a grid spacing within float range\n"
 
 
+def _basis_warning(err):
+    """The one ``warning:`` line of ``err``, which must be the basis-extent warning."""
+    lines = [line for line in err.splitlines(keepends=True) if line.startswith("warning: ")]
+    assert len(lines) == 1 and lines[0].startswith("warning: top basis state"), err
+    assert "turning radius" in lines[0]
+    return lines[0]
+
+
 @pytest.mark.parametrize("dx", ["1e-300", "1e-200", "1e152"])
 def test_a_nan_residual_is_refused_not_passed(tmp_path, capsys, dx):
     # dx² leaves float range, so the relative Parseval residual is 0/0 or
     # inf/inf; a running Python max dropped that NaN and reported 0.0 as a pass
-    with pytest.warns(UserWarning, match="turning radius"):
-        code, out, err = run(capsys, "check", "wigner", "--dx", dx, "--out", str(tmp_path))
-    assert (code, out, err) == (2, "", _NON_FINITE)
+    code, out, err = run(capsys, "check", "wigner", "--dx", dx, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", _basis_warning(err) + _NON_FINITE)
 
 
 @pytest.mark.parametrize(
@@ -311,12 +321,34 @@ def test_a_nan_residual_is_refused_not_passed(tmp_path, capsys, dx):
      ("star-demo", "--dx", "1e200")],
 )
 def test_extreme_spacings_warn_only_about_the_basis(tmp_path, capsys, argv):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
-    assert [w.category for w in caught] == [UserWarning]  # no numpy RuntimeWarning
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    # one basis warning and one error line: no numpy RuntimeWarning is printed
     assert code == 2 and not out
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == _basis_warning(err) + _NON_FINITE
+
+
+@pytest.mark.parametrize(
+    "flags, argv, expected",
+    [(("-W", "error"), ("check", "wigner", "--dx", "0.01"), 1),
+     ((), ("wigner", "hermite:127", "--r-max", "200"), 0)],
+)
+def test_warnings_print_one_line_whatever_the_filters(tmp_path, flags, argv, expected):
+    # -W error and PYTHONWARNINGS=error would turn the basis warning into a traceback
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(pathlib.Path(weylkit.__file__).parents[1])
+    if not flags:
+        env["PYTHONWARNINGS"] = "error"
+    done = subprocess.run([sys.executable, *flags, "-m", "weylkit", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == expected, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr == _basis_warning(done.stderr)
+
+
+def test_main_restores_the_callers_warning_and_float_state(tmp_path, capsys):
+    before = (warnings.showwarning, list(warnings.filters), np.geterr())
+    run(capsys, "check", "wigner", "--dx", "1e152", "--out", str(tmp_path))
+    assert (warnings.showwarning, list(warnings.filters), np.geterr()) == before
 
 
 # ----------------------------------------------------------------------
@@ -623,11 +655,10 @@ def test_output_write_failure_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 def test_wigner_out_of_range_spacing_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    with pytest.warns(UserWarning):  # the basis outgrows the tiny grid
-        code, out, err = run(
-            capsys, "wigner", "hermite:0", "--grid-n", "4", "--dx", "1e-300",
-            "--out", str(out_dir),
-        )
+    code, out, err = run(
+        capsys, "wigner", "hermite:0", "--grid-n", "4", "--dx", "1e-300", "--out", str(out_dir),
+    )
+    _basis_warning(err)  # the basis outgrows the tiny grid
     assert code == 2 and "error:" in err and not out
     assert not out_dir.exists()
 
@@ -977,10 +1008,10 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore")  # small grids warn about the basis extent
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
+            # no warning filter here: under the suite's filterwarnings = error,
+            # a warning that escapes main fails the example
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2), argv

@@ -1,12 +1,14 @@
 """Digest what a fixed list of ``weylkit`` commands print and write.
 
-Each command of ``COMMANDS`` runs as ``python -m weylkit ...`` with the
-tree's ``src`` first on ``PYTHONPATH``, in a fresh temporary directory that
-holds only the input files of ``INPUTS``.  One line is printed per command:
-a sha256 over its stdout, its stderr, its exit code and the name and bytes
-of every file it wrote, then the command.  The temporary directory and the
-tree path are replaced by fixed tokens before hashing, so two trees print
-the same line exactly when the command behaves the same in both.
+Each command of ``COMMANDS`` runs as ``python -m weylkit ...``, and each of
+``W_ERROR`` as ``python -W error -m weylkit ...``, with the tree's ``src``
+first on ``PYTHONPATH`` and ``PYTHONWARNINGS`` unset, in a fresh temporary
+directory that holds only the input files of ``INPUTS``.  One line is
+printed per command: a sha256 over its stdout, its stderr, its exit code
+and the name and bytes of every file it wrote, then the command.  The
+temporary directory and the tree path are replaced by fixed tokens before
+hashing, so two trees print the same line exactly when the command behaves
+the same in both.
 
     python tools/cli_digest.py [TREE]
 
@@ -94,6 +96,11 @@ COMMANDS = [
      "--format", "csv"),
     ("check", "wigner", "--grid-n", "400", "--dx", "0.0886"),
     ("star-demo", "--grid-n", "384", "--dx", "0.0905"),
+    # values that leave float range: exit 2, nothing written
+    ("star-demo", "--dx", "1e200"),
+    ("wigner", "hermite:0", "--grid-n", "4", "--dx", "1e-300"),
+    # two basis warnings, from two suites
+    ("check", "all", "--dx", "1"),
     ("wigner", "1e-170*hermite:0"),
     ("wigner", "1e-320*hermite:0"),
     # the top basis index that n = 64 accepts (2n − 1), and one past it
@@ -146,18 +153,26 @@ COMMANDS = [
     ("factorize", "--tau", "1", "--sigma", "inf", "--epsilon", "1"),
 ]
 
+# run under ``python -W error``: a library warning still prints as one line
+W_ERROR = [
+    ("check", "wigner", "--dx", "0.01"),
+    ("wigner", "hermite:127", "--r-max", "200"),
+]
 
-def digest(argv: tuple, tree: Path) -> str:
-    """sha256 of one command's stdout, stderr, exit code and written files."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+def digest(argv: tuple, tree: Path, flags: tuple = ()) -> str:
+    """sha256 of one command's stdout, stderr, exit code and written files;
+    ``flags`` go to the interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
         work = Path(tmp)
         for name, text in INPUTS.items():
             (work / name).write_text(text)
         try:
-            proc = subprocess.run([sys.executable, "-m", "weylkit", *argv], cwd=work, env=env,
-                                  capture_output=True, timeout=300)
+            proc = subprocess.run([sys.executable, *flags, "-m", "weylkit", *argv], cwd=work,
+                                  env=env, capture_output=True, timeout=300)
             parts = [proc.stdout, proc.stderr, str(proc.returncode).encode()]
         except subprocess.TimeoutExpired:
             parts = [b"timeout"]
@@ -182,6 +197,8 @@ def main(args: list) -> int:
         return 2
     for argv in COMMANDS:
         print(f"{digest(argv, tree)}  {shlex.join(argv)}", flush=True)
+    for argv in W_ERROR:
+        print(f"{digest(argv, tree, ('-W', 'error'))}  -W error {shlex.join(argv)}", flush=True)
     return 0
 
 
