@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -197,28 +198,20 @@ def _phase_writer(grid: GridSpec, config: RunConfig):
 # ----------------------------------------------------------------------
 
 
-def _split_superposition(text: str) -> list:
-    """Split on top-level +/-, keeping signs with their terms.
-
-    A sign after an exponent's e, a '*', '/', '(' or a basis name's ':'
-    belongs to the number it starts: 'hermite:-1' is one term.
-    """
-    terms, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (
-            ch in "+-"
-            and depth == 0
-            and i > start
-            and text[i - 1] not in "eE*/(:"
-        ):
-            terms.append(text[start:i])
-            start = i
-    terms.append(text[start:])
-    return [t for t in terms if t.strip()]
+# One term of a superposition: [sign] [coefficient "*"] name.  A piece of a
+# term is a parenthesised group, a character that is neither a parenthesis nor
+# a sign, or a sign after e, E, *, / or : (it starts a number: 1e-3,
+# hermite:-1).  Any other sign starts the next term.  complex() and int()
+# judge the coefficient and the index.
+_PIECE = r"\([^()]*\) | [^()+-] | (?<=[eE*/:])[+-]"
+_STATE_TERM = re.compile(
+    rf"""
+    (?P<sign>[+-])?\s*
+    (?P<body>(?:(?P<coeff>(?:{_PIECE})*)\*)?    # up to the last '*' outside a group
+             (?P<name>(?:(?!\*)(?:{_PIECE}))*))
+    """,
+    re.VERBOSE,
+)
 
 
 def _basis_index(name: str, r_max: int) -> int:
@@ -273,28 +266,27 @@ def _parse_state(spec: str, grid: GridSpec, r_max: int) -> np.ndarray:
     spec = spec.strip()
     if spec.startswith("file:"):
         return _load_state_file(spec[5:], grid.n)
-    terms = []
-    for term in _split_superposition(spec):
-        term = term.strip()
-        sign = 1.0
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:].lstrip()
-        if "*" in term:
-            coeff_text, _, name = term.rpartition("*")
+    if not spec:
+        raise UsageError("the state spec names no term (expected e.g. 'hermite:0')")
+    terms, pos = [], 0
+    while pos < len(spec):
+        term = _STATE_TERM.match(spec, pos)
+        pos = term.end()
+        if pos < len(spec) and spec[pos] not in "+-":  # a term ends at a sign
+            raise UsageError(f"unpaired or nested parenthesis in state at {spec[pos:]!r}")
+        coeff = 1.0
+        if term["coeff"] is not None:
             try:
-                coeff = complex(coeff_text.strip())
+                coeff = complex(term["coeff"])
             except ValueError:
-                raise UsageError(f"bad coefficient {coeff_text!r} in state")
+                raise UsageError(f"bad coefficient {term['coeff']!r} in state")
             if not np.isfinite(coeff):
-                raise UsageError(f"coefficient of term {term!r} is not finite")
-        else:
-            coeff, name = 1.0, term
-        terms.append((sign * coeff, _basis_index(name.strip(), r_max)))
+                raise UsageError(f"coefficient of term {term['body'].rstrip()!r} is not finite")
+        sign = -1.0 if term["sign"] == "-" else 1.0
+        terms.append((sign * coeff, _basis_index(term["name"].strip(), r_max)))
     # rows only up to the highest referenced index, however large r_max is,
     # and never more than 2n: the basis stays within half of one phase array
-    top = max((k for _, k in terms), default=0)
+    top = max(k for _, k in terms)
     if top + 1 > 2 * grid.n:
         raise UsageError(
             f"basis index {top} out of range for n = {grid.n} (at most 2n - 1 = {2 * grid.n - 1})"

@@ -476,6 +476,13 @@ def test_wigner_state_file_csv_lines(tmp_path, capsys):
         "1e300*hermite:0+1e300*hermite:1",
         "1e308*hermite:0+1e308*hermite:0+1e308*hermite:0",
         "file:{huge}",
+        # specs outside the term grammar
+        "",
+        "+",
+        "--hermite:0",
+        "hermite:0)+(hermite:1",
+        "2*3*hermite:0",
+        "((2))*hermite:1",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -498,6 +505,68 @@ def test_negative_basis_index_is_named(tmp_path, capsys):
     code, _, err = run(capsys, "wigner", "hermite:0-hermite:-2", "--out", str(tmp_path))
     assert code == 2
     assert "basis index -2 out of range" in err
+
+
+# a real literal: digits, a point, and an exponent that may carry a sign
+_REAL = st.builds(
+    lambda whole, frac, exp: f"{whole}{frac}{exp}",
+    st.integers(0, 999),
+    st.sampled_from(["", ".", ".5", ".125"]),
+    st.sampled_from(["", "e3", "E+2", "e-3", "e-20", "E+20"]),
+)
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _state_terms(draw):
+    """A spec from the term grammar and its terms as (sign, coefficient, k)."""
+    parts, terms = [], []
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        kind = draw(st.sampled_from(["absent", "real", "imag", "pair"]))
+        a, b = draw(_REAL), draw(_REAL)
+        pair_sign = draw(st.sampled_from("+-"))
+        text, coeff = {
+            "absent": ("", 1.0),
+            "real": (a, complex(float(a), 0.0)),
+            "imag": (f"{a}j", complex(0.0, float(a))),
+            "pair": (f"({a}{pair_sign}{b}j)", complex(float(a), float(pair_sign + b))),
+        }[kind]
+        if text:
+            text += draw(_SPACE) + "*" + draw(_SPACE)
+        k = draw(st.integers(0, 7))
+        parts.append(sign + draw(_SPACE) + text + f"hermite:{k}" + draw(_SPACE))
+        terms.append((-1.0 if sign == "-" else 1.0, coeff, k))
+    return draw(_SPACE) + "".join(parts), terms
+
+
+@given(_state_terms())
+def test_state_grammar_gives_the_explicit_sum(spec_terms):
+    from weylkit import hermite_basis
+    from weylkit.cli import _parse_state
+
+    spec, terms = spec_terms
+    grid = GridSpec(64, 0.25)
+    basis = hermite_basis(grid, max(k for _, _, k in terms) + 1)
+    expected = np.zeros(grid.n, dtype=complex)
+    for sign, coeff, k in terms:
+        expected = expected + (sign * coeff) * basis[k]
+    assert _parse_state(spec, grid, 8).tobytes() == expected.tobytes(), spec
+
+
+@pytest.mark.parametrize(
+    "state,fragment",
+    [
+        ("", "names no term"),
+        ("  ", "names no term"),
+        ("hermite:0)+(hermite:1", "parenthesis in state at ')+(hermite:1'"),
+    ],
+)
+def test_state_spec_faults_are_named(tmp_path, capsys, state, fragment):
+    # the spec is at fault, not a state it names
+    code, _, err = run(capsys, "wigner", state, "--out", str(tmp_path))
+    assert code == 2
+    assert fragment in err and "identically zero" not in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

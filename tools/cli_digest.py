@@ -90,6 +90,10 @@ COMMANDS = [
     ("wigner", "hermite:2", "--format", "csv"),
     ("wigner", "0.6*hermite:0+0.8j*hermite:1"),
     ("wigner", "hermite:3 - 2*hermite:1", "--grid-n", "128", "--dx", "0.2"),
+    # the state grammar: a parenthesised pair, an exponent sign, a spaced leading sign
+    ("wigner", "(0.5-0.5j)*hermite:1-hermite:2"),
+    ("wigner", "1e-3*hermite:0+hermite:1"),
+    ("wigner", " - hermite:1"),
     # n ≥ 364 takes the row path of the transforms
     ("wigner", "hermite:1", "--grid-n", "512", "--dx", repr(math.sqrt(math.pi / 512))),
     ("wigner", "hermite:1", "--grid-n", "512", "--dx", repr(math.sqrt(math.pi / 512)),
@@ -141,6 +145,9 @@ COMMANDS = [
     ("wigner", "hermite:-1"),
     ("wigner", "nan*hermite:0"),
     ("wigner", "0*hermite:0"),
+    ("wigner", "2*3*hermite:0"),
+    ("wigner", "hermite:0)+(hermite:1"),
+    ("wigner", ""),
     ("wigner", "hermite:0", "--dx", "inf"),
     ("wigner", "hermite:0", "--grid-n", "5"),
     ("wigner", "hermite:0", "--out", "s.json"),
