@@ -443,72 +443,54 @@ def _run_liftgen(seed: int, tol, grid) -> dict:
 def _run_reps(seed: int, tol, grid) -> dict:
     from .groups import (Sp2Params, galilei_factorize, hw_factorize, sp2_generators,
                          time_reversal_check, tower_factorization)
-    examples = []
-    invariants = []
+    hw = ("heisenberg_weyl (hbar=1)", "heisenberg_weyl (hbar=2)")
+    gal = ("galilei (m=1)", "galilei (m=3)")
+    case_a = "sp2_case_A"
+    case_b = {a: f"sp2_case_B (a={a})" for a in (0, 1, 2)}
+    # (label, build, tolerance) of each example, in report order
+    example_table = [
+        (hw[0], lambda: hw_factorize(1).report(), 0.0),
+        (hw[1], lambda: hw_factorize(2).report(), 0.0),
+        ("heisenberg_tower (depth 4)", lambda: tower_factorization(4).report(), 0.0),
+        (gal[0], lambda: galilei_factorize(1, 1).report(), 1e-6),
+        (gal[1], lambda: galilei_factorize(3, 1).report(), 1e-6),
+        (case_a, lambda: sp2_generators(Sp2Params("A"))[1].report(), 0.0),
+        *[(label, lambda a=a: sp2_generators(Sp2Params("B", a))[1].report(), 0.0)
+          for a, label in case_b.items()],
+        ("time_reversal", lambda: time_reversal_check(seed), 1e-12),
+    ]
+    # (name, labels it reads, predicate on the Casimirs c of the built examples);
+    # a row appears exactly when every example it reads was built
+    relation_table = [
+        ("canonical central charge equals hbar (hbar = 1, 2)", hw,
+         lambda c: c[hw[0]] == 1.0 and c[hw[1]] == 2.0),
+        ("Galilei central charge equals hbar*m (m = 1, 3)", gal,
+         lambda c: c[gal[0]] == 1.0 and c[gal[1]] == 3.0),
+        ("sp(2,R) Case A Casimir = -3/16", (case_a,), lambda c: c[case_a] == -3 / 16),
+        ("sp(2,R) Case B Casimir = -(a^2 + 1)/4 for a = 0, 1, 2", case_b.values(),
+         lambda c: all(c[label] == -(a**2 + 1) / 4 for a, label in case_b.items())),
+        # fails, rather than vanishes, when Case A was not built
+        ("Case A is inequivalent to Case B (Casimirs differ)", case_b.values(),
+         lambda c: case_a in c and all(c[label] != -3 / 16 for label in case_b.values())),
+    ]
 
-    def add(label, build, tolerance):
+    examples, invariants, casimirs = [], [], {}
+    for label, build, tolerance in example_table:
         try:
             report = build()
         except (ArithmeticError, ValueError) as exc:
             invariants.append(_exact(f"{label}: failed to build: {exc}", False))
-            return None
+            continue
         examples.append(report)
         invariants.append(
             _numeric(f"{label}: all relations hold", report["max_residual"], tolerance)
         )
-        return report
-
-    hw1 = add("heisenberg_weyl (hbar=1)", lambda: hw_factorize(1).report(), 0.0)
-    hw2 = add("heisenberg_weyl (hbar=2)", lambda: hw_factorize(2).report(), 0.0)
-    add("heisenberg_tower (depth 4)", lambda: tower_factorization(4).report(), 0.0)
-    gal1 = add("galilei (m=1)", lambda: galilei_factorize(1, 1).report(), 1e-6)
-    gal3 = add("galilei (m=3)", lambda: galilei_factorize(3, 1).report(), 1e-6)
-    case_a = add(
-        "sp2_case_A", lambda: sp2_generators(Sp2Params("A"))[1].report(), 0.0
-    )
-    case_b = {
-        a: add(
-            f"sp2_case_B (a={a})",
-            lambda a=a: sp2_generators(Sp2Params("B", a))[1].report(),
-            0.0,
-        )
-        for a in (0, 1, 2)
-    }
-    add("time_reversal", lambda: time_reversal_check(seed), 1e-12)
-
-    if hw1 and hw2:
-        invariants.append(
-            _exact(
-                "canonical central charge equals hbar (hbar = 1, 2)",
-                hw1["casimir_value"] == 1.0 and hw2["casimir_value"] == 2.0,
-            )
-        )
-    if gal1 and gal3:
-        invariants.append(
-            _exact(
-                "Galilei central charge equals hbar*m (m = 1, 3)",
-                gal1["casimir_value"] == 1.0 and gal3["casimir_value"] == 3.0,
-            )
-        )
-    if case_a:
-        invariants.append(
-            _exact("sp(2,R) Case A Casimir = -3/16", case_a["casimir_value"] == -3 / 16)
-        )
-    if all(case_b.values()):
-        invariants.append(
-            _exact(
-                "sp(2,R) Case B Casimir = -(a^2 + 1)/4 for a = 0, 1, 2",
-                all(case_b[a]["casimir_value"] == -(a**2 + 1) / 4 for a in (0, 1, 2)),
-            )
-        )
-        invariants.append(
-            _exact(
-                "Case A is inequivalent to Case B (Casimirs differ)",
-                all(case_b[a]["casimir_value"] != -3 / 16 for a in (0, 1, 2))
-                if case_a
-                else False,
-            )
-        )
+        casimirs[label] = report["casimir_value"]
+    invariants += [
+        _exact(name, holds(casimirs))
+        for name, reads, holds in relation_table
+        if all(label in casimirs for label in reads)
+    ]
 
     report = _finish("reps", seed, invariants, tol)
     report["examples"] = examples

@@ -499,15 +499,19 @@ def cmd_star_demo(args, config: RunConfig, explicit) -> int:
     phi10 = weyl_wigner(np.outer(basis[1], basis[0].conj()), grid)
     phi00 = weyl_wigner(np.outer(basis[0], basis[0].conj()), grid)
 
-    ground = float(np.max(purity_residual(w0, grid)))
-    excited = float(np.max(purity_residual(w1, grid)))
-    cross = float(np.max(np.abs(star(w0, w1, grid))))
-    product = star(phi01, phi10, grid)
-    units = float(np.max(np.abs(product - phi00)))
-    nilpotent = float(np.max(np.abs(star(phi01, phi01, grid))))
+    # each identity's residual, in report order; product is also written out
+    residuals = {
+        "ground state is a star projector": np.max(purity_residual(w0, grid)),
+        "first excited state is a star projector": np.max(purity_residual(w1, grid)),
+        "orthogonal projectors star to zero: W0 * W1 = 0": np.max(np.abs(star(w0, w1, grid))),
+        "transition symbols are star matrix units: Phi_01 * Phi_10 = Phi_00":
+            np.max(np.abs((product := star(phi01, phi10, grid)) - phi00)),
+        "off-diagonal symbols are star-nilpotent: Phi_01 * Phi_01 = 0":
+            np.max(np.abs(star(phi01, phi01, grid))),
+    }
 
     tol = config.tol if config.tol is not None else 1e-8
-    passed = bool(np.max([ground, excited, cross, units, nilpotent]) <= tol)
+    passed = bool(np.max(list(residuals.values())) <= tol)
 
     name = f"star-demo-product.{config.format}"
     report = _envelope(
@@ -516,15 +520,8 @@ def cmd_star_demo(args, config: RunConfig, explicit) -> int:
         {
             "grid": {"n": grid.n, "dx": grid.dx},
             "invariants": [
-                {"name": "ground state is a star projector", "residual": ground},
-                {"name": "first excited state is a star projector", "residual": excited},
-                {"name": "orthogonal projectors star to zero: W0 * W1 = 0", "residual": cross},
-                {
-                    "name": "transition symbols are star matrix units: "
-                    "Phi_01 * Phi_10 = Phi_00",
-                    "residual": units,
-                },
-                {"name": "off-diagonal symbols are star-nilpotent: Phi_01 * Phi_01 = 0", "residual": nilpotent},
+                {"name": label, "residual": float(residual)}
+                for label, residual in residuals.items()
             ],
             "tolerance": tol,
             "passed": passed,
@@ -565,7 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wigner.add_argument(
         "state",
         help="'hermite:k', a superposition like '0.6*hermite:0+0.8j*hermite:1', "
-        "or 'file:PATH'",
+        "or 'file:PATH'; put '--' before a spec that starts with '-' "
+        "(wigner -- '-0.5*hermite:1'), or start it with a space",
     )
     _add_common(wigner)
     wigner.set_defaults(func=cmd_wigner)

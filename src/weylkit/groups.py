@@ -123,7 +123,8 @@ class FactorizationResult:
     the text of an antiunitary factor such as complex conjugation.
     ``casimir_value`` holds the central invariant of the factorised
     algebra: the quadratic Casimir for sp(2,R), the central charge for the
-    centrally extended families.
+    centrally extended families. ``details`` holds sp(2,R)'s closure
+    shifts; ``report()`` leaves it out.
     """
 
     example: str
@@ -249,7 +250,6 @@ def hw_factorize(hbar=1) -> FactorizationResult:
         hilbert_generators=(p_hat, q_hat),
         relations_checked=relations,
         casimir_value=float(h),
-        details={"hbar": float(h)},
     )
 
 
@@ -310,7 +310,6 @@ def tower_factorization(N: int = 4) -> FactorizationResult:
         hilbert_generators=(a1_hat,) + tuple(b_hats),
         relations_checked=relations,
         casimir_value=1.0,
-        details={"depth": N},
     )
 
 
@@ -464,7 +463,6 @@ def galilei_factorize(m=1, hbar=1) -> FactorizationResult:
         relations_checked=relations,
         max_residual=residual,
         casimir_value=float(h * m_exact),
-        details={"m": float(m_exact), "hbar": float(h)},
     )
 
 
@@ -567,11 +565,7 @@ def sp2_generators(params: Sp2Params):
         hilbert_generators=a_hats,
         relations_checked=relations,
         casimir_value=value,
-        details={
-            "closure_shifts": tuple(str(k) for k in shifts),
-            "symbols": tuple(str(s) for s in syms),
-            **({"a": str(Fraction(params.a))} if params.case == "B" else {}),
-        },
+        details={"closure_shifts": tuple(str(k) for k in shifts)},
     )
     return alphas, result
 

@@ -227,3 +227,62 @@ def test_exclusion_registry():
     report = run_suite("reps", seed=0)
     for example in report["examples"]:
         assert "eigenbasis" not in example["example"]
+
+
+# ----------------------------------------------------------------------
+# reps failure path: an example that fails to build takes out exactly the
+# summary rows that read it
+# ----------------------------------------------------------------------
+
+
+def _reps_with_failing(monkeypatch, capsys, tmp_path, name, fails):
+    """The reps rows by name, and ``check reps``'s exit code and stderr, with
+    ``weylkit.groups.<name>`` raising ``ArithmeticError`` when ``fails(*args)``."""
+    import weylkit.groups
+    from weylkit.cli import main
+
+    build = getattr(weylkit.groups, name)
+
+    def failing(*args, **kwargs):
+        if fails(*args):
+            raise ArithmeticError("injected")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(weylkit.groups, name, failing)
+    rows = {inv["name"]: inv for inv in run_suite("reps", seed=0)["invariants"]}
+    code = main(["check", "reps", "--out", str(tmp_path)])
+    return rows, code, capsys.readouterr().err
+
+
+def test_reps_hw_failure_drops_the_central_charge_row(monkeypatch, capsys, tmp_path):
+    rows, code, err = _reps_with_failing(monkeypatch, capsys, tmp_path, "hw_factorize",
+                                         lambda hbar: True)
+    for label in ("heisenberg_weyl (hbar=1)", "heisenberg_weyl (hbar=2)"):
+        row = rows[f"{label}: failed to build: injected"]
+        assert (row["residual"], row["tolerance"], row["passed"]) == (1.0, 0.0, False)
+        assert f"{label}: all relations hold" not in rows
+    assert not any(name.startswith("canonical central charge") for name in rows)
+    assert rows["Galilei central charge equals hbar*m (m = 1, 3)"]["passed"]
+    assert code == 1 and "Traceback" not in err
+
+
+def test_reps_case_a_failure_fails_the_inequivalence_row(monkeypatch, capsys, tmp_path):
+    rows, code, err = _reps_with_failing(monkeypatch, capsys, tmp_path, "sp2_generators",
+                                         lambda params: params.case == "A")
+    assert not rows["sp2_case_A: failed to build: injected"]["passed"]
+    assert "sp(2,R) Case A Casimir = -3/16" not in rows
+    assert rows["sp(2,R) Case B Casimir = -(a^2 + 1)/4 for a = 0, 1, 2"]["passed"]
+    inequivalent = rows["Case A is inequivalent to Case B (Casimirs differ)"]
+    assert (inequivalent["residual"], inequivalent["passed"]) == (1.0, False)
+    assert code == 1 and "Traceback" not in err
+
+
+def test_reps_one_case_b_failure_drops_both_case_b_rows(monkeypatch, capsys, tmp_path):
+    rows, code, err = _reps_with_failing(monkeypatch, capsys, tmp_path, "sp2_generators",
+                                         lambda params: params.a == 1)
+    assert not rows["sp2_case_B (a=1): failed to build: injected"]["passed"]
+    assert rows["sp2_case_B (a=0): all relations hold"]["passed"]
+    assert rows["sp2_case_B (a=2): all relations hold"]["passed"]
+    assert rows["sp(2,R) Case A Casimir = -3/16"]["passed"]
+    assert not any("Case B" in name and "sp2_case_B" not in name for name in rows)
+    assert code == 1 and "Traceback" not in err

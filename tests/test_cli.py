@@ -569,6 +569,19 @@ def test_state_spec_faults_are_named(tmp_path, capsys, state, fragment):
     assert fragment in err and "identically zero" not in err
 
 
+def test_leading_sign_spec_follows_a_double_dash_or_a_space(tmp_path, capsys):
+    # argparse reads a bare leading '-' as an option, so the state is missing
+    spec = "-0.5*hermite:1+hermite:2"
+    code, _, err = run(capsys, "wigner", spec, "--out", str(tmp_path))
+    assert code == 2 and "required: state" in err
+    arrays = []
+    for name, argv in (("dashes", ["--", spec]), ("space", [" " + spec])):
+        code, out, _ = run(capsys, "wigner", "--out", str(tmp_path / name), *argv)
+        assert code == 0
+        arrays.append((tmp_path / name / json.loads(out)["files"]["wigner"]).read_bytes())
+    assert arrays[0] == arrays[1]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wigner_tiny_states_are_not_zero(tmp_path, capsys):
     # the squares of 1e-170 underflow: the plain norm reads 0

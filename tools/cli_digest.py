@@ -80,6 +80,8 @@ COMMANDS = [
     ("check", "star", "--config", "run.cfg"),
     *[("reps", "--seed", str(seed)) for seed in SEEDS],
     ("reps", "--tol", "1e-5"),
+    ("check", "reps", "--tol", "1e-5"),
+    ("check", "all", "--seed", "3", "--tol", "1e-5"),
     *[("check", suite, "--dx", dx) for suite in ("wigner", "star") for dx in DX_SWEEP],
     ("star-demo",),
     ("star-demo", "--format", "csv"),
@@ -90,10 +92,12 @@ COMMANDS = [
     ("wigner", "hermite:2", "--format", "csv"),
     ("wigner", "0.6*hermite:0+0.8j*hermite:1"),
     ("wigner", "hermite:3 - 2*hermite:1", "--grid-n", "128", "--dx", "0.2"),
-    # the state grammar: a parenthesised pair, an exponent sign, a spaced leading sign
+    # the state grammar: a parenthesised pair, an exponent sign, a spaced leading sign,
+    # a leading sign after '--'
     ("wigner", "(0.5-0.5j)*hermite:1-hermite:2"),
     ("wigner", "1e-3*hermite:0+hermite:1"),
     ("wigner", " - hermite:1"),
+    ("wigner", "--", "-0.5*hermite:1+hermite:2"),
     # n ≥ 364 takes the row path of the transforms
     ("wigner", "hermite:1", "--grid-n", "512", "--dx", repr(math.sqrt(math.pi / 512))),
     ("wigner", "hermite:1", "--grid-n", "512", "--dx", repr(math.sqrt(math.pi / 512)),
