@@ -25,6 +25,9 @@ def test_unknown_suite_and_bad_tolerance_raise():
         run_suite("wigner", tol=0.0)
     with pytest.raises(ValueError):
         run_suite("wigner", tol=-1e-6)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_suite("star", tol=tol)
 
 
 def test_every_suite_passes_at_defaults():
@@ -285,4 +288,57 @@ def test_reps_one_case_b_failure_drops_both_case_b_rows(monkeypatch, capsys, tmp
     assert rows["sp2_case_B (a=2): all relations hold"]["passed"]
     assert rows["sp(2,R) Case A Casimir = -3/16"]["passed"]
     assert not any("Case B" in name and "sp2_case_B" not in name for name in rows)
+    assert code == 1 and "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# exact-suite failure path: a broken layer function fails exactly the row
+# that reads it, and the CLI reports it without a traceback
+# ----------------------------------------------------------------------
+
+
+def _exact_suite_with_broken(monkeypatch, capsys, tmp_path, suite, module, name, value):
+    """The unpatched and patched rows of ``suite`` by name, and ``check
+    <suite>``'s exit code and stderr, with ``<module>.<name>`` returning ``value``."""
+    import importlib
+    from weylkit.cli import main
+
+    clean = {inv["name"]: inv for inv in run_suite(suite, seed=0)["invariants"]}
+    monkeypatch.setattr(importlib.import_module(module), name, lambda *args: value)
+    rows = {inv["name"]: inv for inv in run_suite(suite, seed=0)["invariants"]}
+    code = main(["check", suite, "--out", str(tmp_path)])
+    return clean, rows, code, capsys.readouterr().err
+
+
+def _only_row_fails(clean, rows, failing):
+    assert list(rows) == list(clean)
+    assert (rows[failing]["residual"], rows[failing]["tolerance"]) == (1.0, 0.0)
+    assert not rows[failing]["passed"]
+    assert {k: v for k, v in rows.items() if k != failing} == {
+        k: v for k, v in clean.items() if k != failing
+    }
+
+
+def test_symweyl_broken_parser_fails_only_the_round_trip_row(monkeypatch, capsys, tmp_path):
+    from weylkit import PolySymbol
+
+    clean, rows, code, err = _exact_suite_with_broken(
+        monkeypatch, capsys, tmp_path, "symweyl", "weylkit.symbols", "parse_symbol",
+        PolySymbol.zero())
+    assert len(rows) == 8
+    _only_row_fails(clean, rows, "printer/parser round trip is exact")
+    assert code == 1 and "Traceback" not in err
+
+
+def test_liftgen_broken_potential_lift_fails_only_the_potential_row(monkeypatch, capsys,
+                                                                    tmp_path):
+    from weylkit import DiffOp
+    from weylkit.lift import PHASE_VARS
+
+    clean, rows, code, err = _exact_suite_with_broken(
+        monkeypatch, capsys, tmp_path, "liftgen", "weylkit.lift", "potential_generator",
+        DiffOp.zero(PHASE_VARS))
+    assert len(rows) == 8
+    _only_row_fails(
+        clean, rows, "potential-lift series terminates and equals the lift on polynomials")
     assert code == 1 and "Traceback" not in err

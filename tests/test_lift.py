@@ -1,5 +1,6 @@
 """The generator lift: symbols to phase-space derivations and back."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -282,3 +283,21 @@ def test_potential_generator_validation():
         potential_generator(Q * P)
     with pytest.raises(ValueError):
         potential_generator(PolySymbol.monomial(1, 0, I))
+
+
+# ----------------------------------------------------------------------
+# split then read off: the split alone admits some non-Hermitian generators,
+# and the read-off refuses them
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("G, refusal", [
+    (DiffOp.identity(PHASE_VARS) * (2 * I), "non-real constant i"),
+    (DiffOp.mult(PHASE_VARS, "p") * (-I), "symbol -(1/2)i*p is not real"),
+])
+def test_read_off_refuses_non_hermitian_generators_that_split(G, refusal):
+    split = split_test(z_conjugate(G))
+    assert split.ok
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        read_off_generator(split.a_hat)
+    assert G.adjoint() != G

@@ -82,6 +82,9 @@ COMMANDS = [
     ("reps", "--tol", "1e-5"),
     ("check", "reps", "--tol", "1e-5"),
     ("check", "all", "--seed", "3", "--tol", "1e-5"),
+    ("check", "symweyl", "--seed", "2"),
+    ("check", "liftgen", "--seed", "2"),
+    ("check", "liftgen", "--tol", "1e-5"),  # exact rows ignore --tol
     *[("check", suite, "--dx", dx) for suite in ("wigner", "star") for dx in DX_SWEEP],
     ("star-demo",),
     ("star-demo", "--format", "csv"),
