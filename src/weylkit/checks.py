@@ -2,7 +2,10 @@
 
 Each suite re-verifies the library's standing invariants and returns a
 machine-readable report: a list of named checks with measured residuals
-and the tolerances they were held to.  Exact algebraic identities carry
+and the tolerances they were held to.  Every suite states its checks as
+``(name, residual, tolerance)`` rows, and one rule judges them all: a row
+passes when its residual is at most its tolerance, and a ``tol`` override
+replaces every non-zero tolerance.  Exact algebraic identities carry
 tolerance 0.0 and a residual that is 0.0 or 1.0 (held or violated);
 grid-based identities carry their measured floating-point residual.
 
@@ -10,12 +13,16 @@ Reports are deterministic functions of (suite, seed, grid, tol): random
 draws come from a seeded generator and nothing time- or path-dependent is
 recorded, so serializing the same report twice gives identical bytes.
 The exact suites (symweyl, liftgen) make all their draws before they check
-any row, and a new row's draws go after the existing ones, so every
-existing row keeps its samples and its bytes.
+any row; the grid suites (wigner, star) draw as their rows go, so each
+row's arrays are freed before the next row's are built.  Either way a new
+row's draws go after the existing ones, so every existing row keeps its
+samples and its bytes.
 Each suite imports its own layer, so running one loads only that layer.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -29,29 +36,15 @@ __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 # ----------------------------------------------------------------------
 
 
-def _numeric(name: str, residual: float, tolerance: float) -> dict:
-    residual = float(residual)
-    tolerance = float(tolerance)
-    return {
-        "name": name,
-        "residual": residual,
-        "tolerance": tolerance,
-        "passed": residual <= tolerance,
-    }
-
-
-def _exact(name: str, held: bool) -> dict:
-    return _numeric(name, not held, 0.0)
-
-
-def _finish(suite: str, seed: int, invariants: list, tol, grid: GridSpec | None = None) -> dict:
-    """The suite report; ``tol``, if given, replaces the tolerance of every
-    inexact row (one with a non-zero default) and re-judges it."""
-    if tol is not None:
-        for inv in invariants:
-            if inv["tolerance"]:
-                inv["tolerance"] = float(tol)
-                inv["passed"] = inv["residual"] <= inv["tolerance"]
+def _finish(suite: str, seed: int, rows: list, tol, grid: GridSpec | None = None) -> dict:
+    """The suite report from its ``(name, residual, tolerance)`` rows; ``tol``,
+    if given, replaces every non-zero tolerance."""
+    invariants = []
+    for name, residual, tolerance in rows:
+        residual = float(residual)
+        tolerance = float(tol if tol is not None and tolerance else tolerance)
+        invariants.append({"name": name, "residual": residual, "tolerance": tolerance,
+                           "passed": residual <= tolerance})
     report = {
         "suite": suite,
         "seed": int(seed),
@@ -83,36 +76,52 @@ def _maxabs(a) -> float:
 # ----------------------------------------------------------------------
 
 
-def _transform_residuals(rng, grid: GridSpec) -> np.ndarray:
-    """Round trips, inner products and transposition over five random kernel pairs."""
+def _transform_rows(rng, grid: GridSpec) -> list:
+    """Round trips, inner products and transposition, each the largest
+    residual over five random kernel pairs."""
     from .wigner import parity, weyl_wigner, weyl_wigner_inv
-    rows = []
+    samples = []
     for _ in range(5):
         K1 = _random_kernel(rng, grid)
         K2 = _random_kernel(rng, grid)
         A1 = weyl_wigner(K1, grid)
         # the entries of W(K) grow with dx: phase-side residuals are relative
         a_scale = _maxabs(A1)
-        lhs = inner_k(A1, weyl_wigner(K2, grid), grid)
-        rhs = grid.dx**2 * np.vdot(K1, K2)
-        # relative to the Cauchy-Schwarz bound: both sides grow as dx²·n
-        scale = grid.dx**2 * np.linalg.norm(K1) * np.linalg.norm(K2)
-        rows.append((
-            _maxabs(weyl_wigner_inv(A1, grid) - K1),
-            _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1) / a_scale,
-            abs(lhs - rhs) / scale,
-            _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)) / a_scale,
-        ))
-    return np.max(rows, axis=0)  # round_k, round_p, parseval, transpose
+        samples.append({
+            "kernel round trip: Winv(W(K)) = K": _maxabs(weyl_wigner_inv(A1, grid) - K1),
+            "phase round trip: W(Winv(A)) = A on the transform image":
+                _maxabs(weyl_wigner(weyl_wigner_inv(A1, grid), grid) - A1) / a_scale,
+            # relative to the Cauchy-Schwarz bound: both sides grow as dx²·n
+            "inner products preserved: <W(K1), W(K2)> = dx^2 sum conj(K1) K2":
+                abs(inner_k(A1, weyl_wigner(K2, grid), grid) - grid.dx**2 * np.vdot(K1, K2))
+                / (grid.dx**2 * np.linalg.norm(K1) * np.linalg.norm(K2)),
+            "parity matches kernel transposition: P(W(K)) = W(K^T)":
+                _maxabs(parity(A1, grid) - weyl_wigner(K1.T, grid)) / a_scale,
+        })
+    return [(name, np.max([s[name] for s in samples]), 1e-12) for name in samples[0]]
 
 
-def _state_residuals(basis, grid: GridSpec) -> tuple:
-    """Ground state against its closed form; the first excited state at the origin."""
+def _involution_moved(rng, grid: GridSpec) -> bool:
+    """Whether P(P(F)) differs from F for one random symbol F."""
+    from .wigner import parity, weyl_wigner
+    F = weyl_wigner(_random_kernel(rng, grid), grid)
+    return _maxabs(parity(parity(F, grid), grid) - F) != 0.0
+
+
+def _state_rows(grid: GridSpec) -> list:
+    """The ground and first excited states against their closed forms, and
+    the transition symbols of the first four states."""
     from .wigner import wigner_of_state
-    gauss = np.exp(-(grid.q_matrix() ** 2) - grid.p_matrix() ** 2) / np.pi
-    ground = _maxabs(wigner_of_state(basis[0], grid) - gauss)
-    origin = abs(wigner_of_state(basis[1], grid)[grid.n, grid.n // 2] + 1 / np.pi)
-    return ground, origin
+    basis = hermite_basis(grid, 4)
+    return [
+        ("ground state: W = (1/pi) exp(-q^2 - p^2)",
+         _maxabs(wigner_of_state(basis[0], grid)
+                 - np.exp(-(grid.q_matrix() ** 2) - grid.p_matrix() ** 2) / np.pi), 1e-8),
+        ("first excited state: W(0, 0) = -1/pi",
+         abs(wigner_of_state(basis[1], grid)[grid.n, grid.n // 2] + 1 / np.pi), 1e-6),
+        ("transition symbols orthonormal: <Phi_rs, Phi_uv> = delta_ru delta_sv",
+         _transition_gram_residual(basis, grid), 1e-8),
+    ]
 
 
 def _transition_gram_residual(basis, grid: GridSpec) -> float:
@@ -149,45 +158,18 @@ def _transition_gram_residual(basis, grid: GridSpec) -> float:
 
 def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
     from .star import identity_phase
-    from .wigner import parity, weyl_wigner
-    # each stage in its own function, so that its arrays are freed before the next
+    from .wigner import weyl_wigner
     grid = grid or GridSpec(64, 0.25)
     rng = _rng("wigner", seed)
-
-    round_k, round_p, parseval, transpose = _transform_residuals(rng, grid)
-
-    F = weyl_wigner(_random_kernel(rng, grid), grid)
-    involution = _maxabs(parity(parity(F, grid), grid) - F)
-    del F
-
-    ident = _maxabs(
-        weyl_wigner(np.eye(grid.n) / grid.dx, grid) - identity_phase(grid)
-    )
-
-    basis = hermite_basis(grid, 4)
-    ground, origin = _state_residuals(basis, grid)
-    ortho = _transition_gram_residual(basis, grid)
-
-    invariants = [
-        _numeric("kernel round trip: Winv(W(K)) = K", round_k, 1e-12),
-        _numeric("phase round trip: W(Winv(A)) = A on the transform image", round_p, 1e-12),
-        _numeric(
-            "inner products preserved: <W(K1), W(K2)> = dx^2 sum conj(K1) K2",
-            parseval,
-            1e-12,
-        ),
-        _numeric("parity matches kernel transposition: P(W(K)) = W(K^T)", transpose, 1e-12),
-        _exact("parity is an involution (exact index permutation)", involution == 0.0),
-        _numeric("identity kernel maps to the star identity symbol", ident, 1e-12),
-        _numeric("ground state: W = (1/pi) exp(-q^2 - p^2)", ground, 1e-8),
-        _numeric("first excited state: W(0, 0) = -1/pi", origin, 1e-6),
-        _numeric(
-            "transition symbols orthonormal: <Phi_rs, Phi_uv> = delta_ru delta_sv",
-            ortho,
-            1e-8,
-        ),
+    # rows in draw order; each row's arrays are freed before the next is built
+    rows = [
+        *_transform_rows(rng, grid),
+        ("parity is an involution (exact index permutation)", _involution_moved(rng, grid), 0.0),
+        ("identity kernel maps to the star identity symbol",
+         _maxabs(weyl_wigner(np.eye(grid.n) / grid.dx, grid) - identity_phase(grid)), 1e-12),
+        *_state_rows(grid),
     ]
-    return _finish("wigner", seed, invariants, tol, grid)
+    return _finish("wigner", seed, rows, tol, grid)
 
 
 # ----------------------------------------------------------------------
@@ -195,47 +177,41 @@ def _run_wigner(seed: int, tol, grid: GridSpec | None) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
-    from .star import (identity_phase, moyal_bracket, purity_residual, star, star_adjoint,
-                       star_twisted_oracle, star_unitary_residual)
-    from .wigner import weyl_wigner, wigner_of_state
-    # dx ~ sqrt(pi/n) balances position and momentum ranges, keeping
-    # Gaussian tails below the purity tolerance
-    grid = grid or GridSpec(32, 0.3125)
-    rng = _rng("star", seed)
-
-    A = weyl_wigner(_random_kernel(rng, grid), grid)
-    B = weyl_wigner(_random_kernel(rng, grid), grid)
-    C = weyl_wigner(_random_kernel(rng, grid), grid)
-    left = star(star(A, B, grid), C, grid)
-    assoc = _maxabs(left - star(A, star(B, C, grid), grid)) / _maxabs(left)
-
-    one = identity_phase(grid)
-    ident = np.max(
-        [_maxabs(star(one, A, grid) - A), _maxabs(star(A, one, grid) - A)]
-    ) / _maxabs(A)
-
-    adjoint = _maxabs(star_adjoint(A, grid) - A.conj()) / _maxabs(A)
-
-    # real *symbols* come from Hermitian kernels
-    H1 = weyl_wigner((lambda K: (K + K.conj().T) / 2)(_random_kernel(rng, grid)), grid)
-    H2 = weyl_wigner((lambda K: (K + K.conj().T) / 2)(_random_kernel(rng, grid)), grid)
-    br = moyal_bracket(H1, H2, grid)
-    bracket = np.max(
-        [_maxabs(br.imag), _maxabs(br + moyal_bracket(H2, H1, grid))]
-    ) / _maxabs(br)
-
-    basis = hermite_basis(grid, 2)
-    w0 = wigner_of_state(basis[0], grid)
-    purity = np.max(purity_residual(w0, grid))
-
-    # unitary built from a random Hermitian kernel via its spectrum
+def _hermitian_kernel(rng, grid: GridSpec) -> np.ndarray:
     K = _random_kernel(rng, grid)
-    H = (K + K.conj().T) / 2
-    evals, evecs = np.linalg.eigh(H)
-    U = (evecs * np.exp(1j * evals)) @ evecs.conj().T
-    unitary = star_unitary_residual(weyl_wigner(U / grid.dx, grid), grid)
+    return (K + K.conj().T) / 2
 
+
+def _associativity_residual(A, rng, grid: GridSpec) -> float:
+    """(A*B)*C against A*(B*C) for two further random symbols B and C."""
+    from .star import star
+    from .wigner import weyl_wigner
+    B, C = (weyl_wigner(_random_kernel(rng, grid), grid) for _ in range(2))
+    left = star(star(A, B, grid), C, grid)
+    return _maxabs(left - star(A, star(B, C, grid), grid)) / _maxabs(left)
+
+
+def _bracket_residual(rng, grid: GridSpec) -> float:
+    """Imaginary part and antisymmetry of the bracket of two real symbols."""
+    from .star import moyal_bracket
+    from .wigner import weyl_wigner
+    # real *symbols* come from Hermitian kernels
+    H1, H2 = (weyl_wigner(_hermitian_kernel(rng, grid), grid) for _ in range(2))
+    br = moyal_bracket(H1, H2, grid)
+    return np.max([_maxabs(br.imag), _maxabs(br + moyal_bracket(H2, H1, grid))]) / _maxabs(br)
+
+
+def _random_unitary_symbol(rng, grid: GridSpec) -> np.ndarray:
+    """The symbol of a unitary built from a random Hermitian kernel via its spectrum."""
+    from .wigner import weyl_wigner
+    evals, evecs = np.linalg.eigh(_hermitian_kernel(rng, grid))
+    return weyl_wigner((evecs * np.exp(1j * evals)) @ evecs.conj().T / grid.dx, grid)
+
+
+def _routes_residual(basis, grid: GridSpec) -> float:
+    """The twisted-integral quadrature against the kernel route for Φ_01 ⋆ Φ_10."""
+    from .star import star, star_twisted_oracle
+    from .wigner import weyl_wigner
     phi01 = weyl_wigner(np.outer(basis[0], basis[1].conj()), grid)
     phi10 = weyl_wigner(np.outer(basis[1], basis[0].conj()), grid)
     kernel_route = star(phi01, phi10, grid)
@@ -253,18 +229,39 @@ def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
         )
     ]
     quad = star_twisted_oracle(phi01, phi10, grid, points=points)
-    routes = _maxabs(quad - np.array([kernel_route[r, c] for r, c in points]))
+    return _maxabs(quad - np.array([kernel_route[r, c] for r, c in points]))
 
-    invariants = [
-        _numeric("associativity: (A*B)*C = A*(B*C)  (scaled)", assoc, 1e-12),
-        _numeric("identity element: 1*A = A = A*1  (scaled)", ident, 1e-12),
-        _numeric("adjoint symbol is the complex conjugate  (scaled)", adjoint, 1e-12),
-        _numeric("bracket of real symbols is real and antisymmetric  (scaled)", bracket, 1e-12),
-        _numeric("ground state is a star projector: W*W = W/2pi, integrals 1", purity, 1e-8),
-        _numeric("unitary kernels give star-unitary symbols", unitary, 1e-10),
-        _numeric("twisted-integral quadrature agrees with the kernel route", routes, 1e-6),
+
+def _run_star(seed: int, tol, grid: GridSpec | None) -> dict:
+    from .star import identity_phase, purity_residual, star, star_adjoint, star_unitary_residual
+    from .wigner import weyl_wigner, wigner_of_state
+    # dx ~ sqrt(pi/n) balances position and momentum ranges, keeping
+    # Gaussian tails below the purity tolerance
+    grid = grid or GridSpec(32, 0.3125)
+    rng = _rng("star", seed)
+    # rows in draw order: A, B, C; H1, H2; the unitary's kernel
+    A = weyl_wigner(_random_kernel(rng, grid), grid)
+    rows = [
+        ("associativity: (A*B)*C = A*(B*C)  (scaled)", _associativity_residual(A, rng, grid),
+         1e-12),
+        ("identity element: 1*A = A = A*1  (scaled)",
+         np.max([_maxabs(star(identity_phase(grid), A, grid) - A),
+                 _maxabs(star(A, identity_phase(grid), grid) - A)]) / _maxabs(A), 1e-12),
+        ("adjoint symbol is the complex conjugate  (scaled)",
+         _maxabs(star_adjoint(A, grid) - A.conj()) / _maxabs(A), 1e-12),
+        ("bracket of real symbols is real and antisymmetric  (scaled)",
+         _bracket_residual(rng, grid), 1e-12),
     ]
-    return _finish("star", seed, invariants, tol, grid)
+    basis = hermite_basis(grid, 2)
+    rows += [
+        ("ground state is a star projector: W*W = W/2pi, integrals 1",
+         np.max(purity_residual(wigner_of_state(basis[0], grid), grid)), 1e-8),
+        ("unitary kernels give star-unitary symbols",
+         star_unitary_residual(_random_unitary_symbol(rng, grid), grid), 1e-10),
+        ("twisted-integral quadrature agrees with the kernel route",
+         _routes_residual(basis, grid), 1e-6),
+    ]
+    return _finish("star", seed, rows, tol, grid)
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +329,7 @@ def _run_symweyl(seed: int, tol, grid) -> dict:
         ("printer/parser round trip is exact",
          all(parse_symbol(format_symbol(A)) == A for A, _, _ in mixed)),
     ]
-    return _finish("symweyl", seed, [_exact(name, held) for name, held in rows], tol)
+    return _finish("symweyl", seed, [(name, not held, 0.0) for name, held in rows], tol)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +376,7 @@ def _run_liftgen(seed: int, tol, grid) -> dict:
         ("potential-lift series terminates and equals the lift on polynomials",
          all(potential_generator(V) == xi_lift(V) for V in potentials)),
     ]
-    return _finish("liftgen", seed, [_exact(name, held) for name, held in rows], tol)
+    return _finish("liftgen", seed, [(name, not held, 0.0) for name, held in rows], tol)
 
 
 # ----------------------------------------------------------------------
@@ -421,25 +418,23 @@ def _run_reps(seed: int, tol, grid) -> dict:
          lambda c: case_a in c and all(c[label] != -3 / 16 for label in case_b.values())),
     ]
 
-    examples, invariants, casimirs = [], [], {}
+    examples, rows, casimirs = [], [], {}
     for label, build, tolerance in example_table:
         try:
             report = build()
         except (ArithmeticError, ValueError) as exc:
-            invariants.append(_exact(f"{label}: failed to build: {exc}", False))
+            rows.append((f"{label}: failed to build: {exc}", True, 0.0))
             continue
         examples.append(report)
-        invariants.append(
-            _numeric(f"{label}: all relations hold", report["max_residual"], tolerance)
-        )
+        rows.append((f"{label}: all relations hold", report["max_residual"], tolerance))
         casimirs[label] = report["casimir_value"]
-    invariants += [
-        _exact(name, holds(casimirs))
+    rows += [
+        (name, not holds(casimirs), 0.0)
         for name, reads, holds in relation_table
         if all(label in casimirs for label in reads)
     ]
 
-    report = _finish("reps", seed, invariants, tol)
+    report = _finish("reps", seed, rows, tol)
     report["examples"] = examples
     return report
 
@@ -464,9 +459,10 @@ def run_suite(name: str, *, seed: int = 0, tol: float | None = None,
               grid: GridSpec | None = None) -> dict:
     """Run one named suite and return its report dict.
 
-    ``tol`` overrides the default tolerance of every inexact invariant;
-    exact invariants always require exact equality.  ``grid`` overrides
-    the suite's default grid where one is used.
+    ``seed`` is a non-negative integer.  ``tol`` overrides the default
+    tolerance of every inexact invariant; exact invariants always require
+    exact equality.  ``grid`` overrides the suite's default grid where one
+    is used.
     """
     if name not in _RUNNERS:
         raise ValueError(
@@ -474,6 +470,8 @@ def run_suite(name: str, *, seed: int = 0, tol: float | None = None,
         )
     if tol is not None and not 0 < tol < float("inf"):
         raise ValueError("tolerance override must be positive and finite")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     return _RUNNERS[name](seed, tol, grid)
 
 

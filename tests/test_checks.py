@@ -1,7 +1,9 @@
 """Invariant suite runner: determinism, report shape, failure behavior."""
 
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 from weylkit import (
@@ -28,6 +30,17 @@ def test_unknown_suite_and_bad_tolerance_raise():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="positive and finite"):
             run_suite("star", tol=tol)
+    # refused before any suite runs, and so by run_all as well
+    for seed in (-1, 1.5, True, "0", None):
+        for run in (lambda: run_suite("reps", seed=seed), lambda: run_all(seed=seed)):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                run()
+
+
+def test_numpy_and_large_integer_seeds_are_accepted():
+    assert run_suite("liftgen", seed=np.int64(3)) == run_suite("liftgen", seed=3)
+    report = run_suite("symweyl", seed=2**70)
+    assert report["seed"] == 2**70 and report["passed"]
 
 
 def test_every_suite_passes_at_defaults():
@@ -292,27 +305,26 @@ def test_reps_one_case_b_failure_drops_both_case_b_rows(monkeypatch, capsys, tmp
 
 
 # ----------------------------------------------------------------------
-# exact-suite failure path: a broken layer function fails exactly the row
-# that reads it, and the CLI reports it without a traceback
+# suite failure path: a broken layer function fails exactly the row that
+# reads it, and the CLI reports it without a traceback
 # ----------------------------------------------------------------------
 
 
-def _exact_suite_with_broken(monkeypatch, capsys, tmp_path, suite, module, name, value):
+def _suite_with_patched(monkeypatch, capsys, tmp_path, suite, module, name, replacement):
     """The unpatched and patched rows of ``suite`` by name, and ``check
-    <suite>``'s exit code and stderr, with ``<module>.<name>`` returning ``value``."""
-    import importlib
+    <suite>``'s exit code and stderr, with ``<module>.<name>`` replaced."""
     from weylkit.cli import main
 
     clean = {inv["name"]: inv for inv in run_suite(suite, seed=0)["invariants"]}
-    monkeypatch.setattr(importlib.import_module(module), name, lambda *args: value)
+    monkeypatch.setattr(module, name, replacement)
     rows = {inv["name"]: inv for inv in run_suite(suite, seed=0)["invariants"]}
     code = main(["check", suite, "--out", str(tmp_path)])
     return clean, rows, code, capsys.readouterr().err
 
 
-def _only_row_fails(clean, rows, failing):
+def _only_row_fails(clean, rows, failing, residual=1.0, tolerance=0.0):
     assert list(rows) == list(clean)
-    assert (rows[failing]["residual"], rows[failing]["tolerance"]) == (1.0, 0.0)
+    assert (rows[failing]["residual"], rows[failing]["tolerance"]) == (residual, tolerance)
     assert not rows[failing]["passed"]
     assert {k: v for k, v in rows.items() if k != failing} == {
         k: v for k, v in clean.items() if k != failing
@@ -322,9 +334,9 @@ def _only_row_fails(clean, rows, failing):
 def test_symweyl_broken_parser_fails_only_the_round_trip_row(monkeypatch, capsys, tmp_path):
     from weylkit import PolySymbol
 
-    clean, rows, code, err = _exact_suite_with_broken(
-        monkeypatch, capsys, tmp_path, "symweyl", "weylkit.symbols", "parse_symbol",
-        PolySymbol.zero())
+    clean, rows, code, err = _suite_with_patched(
+        monkeypatch, capsys, tmp_path, "symweyl", importlib.import_module("weylkit.symbols"),
+        "parse_symbol", lambda text: PolySymbol.zero())
     assert len(rows) == 8
     _only_row_fails(clean, rows, "printer/parser round trip is exact")
     assert code == 1 and "Traceback" not in err
@@ -335,10 +347,62 @@ def test_liftgen_broken_potential_lift_fails_only_the_potential_row(monkeypatch,
     from weylkit import DiffOp
     from weylkit.lift import PHASE_VARS
 
-    clean, rows, code, err = _exact_suite_with_broken(
-        monkeypatch, capsys, tmp_path, "liftgen", "weylkit.lift", "potential_generator",
-        DiffOp.zero(PHASE_VARS))
+    clean, rows, code, err = _suite_with_patched(
+        monkeypatch, capsys, tmp_path, "liftgen", importlib.import_module("weylkit.lift"),
+        "potential_generator", lambda V: DiffOp.zero(PHASE_VARS))
     assert len(rows) == 8
     _only_row_fails(
         clean, rows, "potential-lift series terminates and equals the lift on polynomials")
+    assert code == 1 and "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# grid suites: the rows each one reports
+# ----------------------------------------------------------------------
+
+GRID_SUITE_ROWS = {
+    "wigner": [
+        ("kernel round trip: Winv(W(K)) = K", 1e-12),
+        ("phase round trip: W(Winv(A)) = A on the transform image", 1e-12),
+        ("inner products preserved: <W(K1), W(K2)> = dx^2 sum conj(K1) K2", 1e-12),
+        ("parity matches kernel transposition: P(W(K)) = W(K^T)", 1e-12),
+        ("parity is an involution (exact index permutation)", 0.0),
+        ("identity kernel maps to the star identity symbol", 1e-12),
+        ("ground state: W = (1/pi) exp(-q^2 - p^2)", 1e-8),
+        ("first excited state: W(0, 0) = -1/pi", 1e-6),
+        ("transition symbols orthonormal: <Phi_rs, Phi_uv> = delta_ru delta_sv", 1e-8),
+    ],
+    "star": [
+        ("associativity: (A*B)*C = A*(B*C)  (scaled)", 1e-12),
+        ("identity element: 1*A = A = A*1  (scaled)", 1e-12),
+        ("adjoint symbol is the complex conjugate  (scaled)", 1e-12),
+        ("bracket of real symbols is real and antisymmetric  (scaled)", 1e-12),
+        ("ground state is a star projector: W*W = W/2pi, integrals 1", 1e-8),
+        ("unitary kernels give star-unitary symbols", 1e-10),
+        ("twisted-integral quadrature agrees with the kernel route", 1e-6),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GRID_SUITE_ROWS))
+def test_grid_suite_rows_are_pinned(suite):
+    report = run_suite(suite, seed=0)
+    got = [(inv["name"], inv["tolerance"]) for inv in report["invariants"]]
+    assert got == GRID_SUITE_ROWS[suite]
+
+
+@pytest.mark.parametrize("suite, failing, residual", [
+    ("wigner", "identity kernel maps to the star identity symbol", 2.0),
+    ("star", "identity element: 1*A = A = A*1  (scaled)", 1.0),
+])
+def test_grid_suite_doubled_identity_fails_only_the_identity_row(monkeypatch, capsys, tmp_path,
+                                                                 suite, failing, residual):
+    # ``weylkit.star`` is the function; patch the module it comes from
+    module = importlib.import_module("weylkit.star")
+    identity_phase = module.identity_phase
+    clean, rows, code, err = _suite_with_patched(
+        monkeypatch, capsys, tmp_path, suite, module, "identity_phase",
+        lambda grid: 2 * identity_phase(grid))
+    assert len(rows) == len(GRID_SUITE_ROWS[suite])
+    _only_row_fails(clean, rows, failing, pytest.approx(residual, rel=1e-12), 1e-12)
     assert code == 1 and "Traceback" not in err

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from weylkit import (
     xi_lift,
     z_conjugate,
 )
+from weylkit.checks import _random_coefficient, _random_symbol
 from weylkit.lift import KERNEL_VARS, LINE_VARS, PHASE_VARS, xi_monomial
 
 Q = PolySymbol.q()
@@ -301,3 +303,41 @@ def test_read_off_refuses_non_hermitian_generators_that_split(G, refusal):
     with pytest.raises(ValueError, match=re.escape(refusal)):
         read_off_generator(split.a_hat)
     assert G.adjoint() != G
+
+
+# ----------------------------------------------------------------------
+# the ξ⁻¹ read-off oracle: ξ(A)(q) = −i∂_pA and ξ(A)(p) = i∂_qA, so A follows
+# from G(q) and G(p) by one antiderivative; it agrees with split-then-read-off
+# ----------------------------------------------------------------------
+
+
+def _xi_inverse(G):
+    """The real A, without constant, with ``xi_lift(A) == G``; None if there is none."""
+    dp_A, dq_A = G.apply_to_symbol(Q) * I, G.apply_to_symbol(P) * (-I)
+    if dp_A.diff(dq=1) != dq_A.diff(dp=1):
+        return None
+    A = sum((PolySymbol.monomial(m + 1, n, c / (m + 1)) for (m, n), c in dq_A.terms.items()),
+            PolySymbol.zero())
+    A = sum((PolySymbol.monomial(0, n + 1, c / (n + 1))
+             for (m, n), c in dp_A.terms.items() if m == 0), A)
+    return A if A.is_real() and xi_lift(A) == G else None
+
+
+def _split_then_read_off(G):
+    split = split_test(z_conjugate(G))
+    return read_off_generator(split.a_hat) if split.ok and G.adjoint() == G else None
+
+
+def test_xi_inverse_oracle_agrees_with_split_then_read_off():
+    rng = np.random.default_rng(30)
+    outcomes = []
+    for k in range(300):
+        G = xi_lift(_random_symbol(rng, 4, real=True))
+        if k % 3:
+            mult, der = (tuple(int(e) for e in rng.integers(0, 3, size=2)) for _ in range(2))
+            T = DiffOp(PHASE_VARS, {(mult, der): _random_coefficient(rng)})
+            G = G + T + T.adjoint() if k % 3 == 1 else G + T
+        A = _xi_inverse(G)
+        assert A == _split_then_read_off(G), G
+        outcomes.append(A is not None)
+    assert any(outcomes) and not all(outcomes)
