@@ -436,10 +436,12 @@ def cmd_factorize(args, config: RunConfig, explicit) -> int:
         calibration = autv_residual(
             GaussianAlphaSpec(spec.tau, spec.sigma, 1).r_function()
         )
-        if calibration == 0.0:
+        # both residuals are rounding once the mesh cannot resolve a width
+        if not 0.0 < calibration < residual:
             raise UsageError(
                 f"--tau {spec.tau!r} and --sigma {spec.sigma!r} are too narrow for the quadrature "
-                f"step {_STEP}: the epsilon = +1 residual that scales residual_ratio is exactly 0"
+                f"step {_STEP}: the epsilon = +1 residual {calibration:.3g} that scales "
+                f"residual_ratio is not between 0 and the epsilon = -1 residual {residual:.3g}"
             )
         ratio = float(residual / calibration)
 

@@ -72,6 +72,10 @@ _MESH_POINTS_MAX = 1_000_000
 # midpoint step of the (u, v) quadratures
 _STEP = 0.1
 
+# values per trig table that the separable quadrature evaluates at once,
+# about 2 MB, however long the mesh axis or however many the rows
+_BLOCK_POINTS = 1 << 18
+
 # largest consistency residual recover_A admits
 _THRESHOLD = 1e-4
 
@@ -168,8 +172,8 @@ class GaussianAlphaSpec:
                 * np.exp(-(u ** 2) / tau - (v ** 2) / sigma)
             )
 
-        return RFunction(
-            fn, TAIL_FACTOR * math.sqrt(tau), TAIL_FACTOR * math.sqrt(sigma)
+        return _GaussianR(
+            fn, TAIL_FACTOR * math.sqrt(tau), TAIL_FACTOR * math.sqrt(sigma), self
         )
 
     def a_function(self, q, p):
@@ -177,6 +181,19 @@ class GaussianAlphaSpec:
         return 2 * math.pi * math.sqrt(self.sigma * self.tau) * np.exp(
             -self.sigma * np.asarray(q) ** 2 - self.tau * np.asarray(p) ** 2
         )
+
+
+@dataclass(frozen=True)
+class _GaussianR(RFunction):
+    """The Gaussian family's R with its spec, which makes it separable:
+
+        R = i [sin(uv')·cos(εu'v) + cos(uv')·sin(εu'v)]·e^{−u²/τ}·e^{−v²/σ},
+
+    so its quadratures are products of 1-d sums over the mesh axes (see
+    :func:`_separable_integrals`) instead of sums over the (u, v) mesh.
+    """
+
+    spec: GaussianAlphaSpec
 
 
 # ----------------------------------------------------------------------
@@ -288,12 +305,51 @@ def _sine_integral(R: RFunction, x, y, up, vp, u, v, weight):
     )
 
 
+def _axis_sums(axis, damping, c):
+    """Σᵢ cos(axisᵢ·c)·dampingᵢ and Σᵢ sin(axisᵢ·c)·dampingᵢ at each value of c.
+
+    Returns the two sums stacked on a new first axis.  cos and sin are
+    evaluated once per distinct value of ``c``, a block of values at a
+    time, so no array holds more than about ``_BLOCK_POINTS`` values.
+    """
+    values, index = np.unique(c, return_inverse=True)
+    sums = np.empty((2, values.size))
+    block = max(_BLOCK_POINTS // axis.size, 1)
+    for start in range(0, values.size, block):
+        phase = np.multiply.outer(values[start:start + block], axis)
+        sums[:, start:start + block] = np.cos(phase) @ damping, np.sin(phase) @ damping
+    return sums[:, index.reshape(c.shape)]
+
+
+def _separable_integrals(R: _GaussianR, rows, u, v, weight):
+    """The sine integrals of the Gaussian R as products of 1-d sums.
+
+    With a = εu', the integrand sin(vx + uy)·sin(uv' + av) is
+
+        ½ [cos(u(y − v') + v(x − a)) − cos(u(y + v') + v(x + a))],
+
+    and cos(uα + vβ) = cos(uα)·cos(vβ) − sin(uα)·sin(vβ), so each midpoint
+    double sum is two products of a sum over u at y ∓ v' and a sum over v
+    at x ∓ a.
+    """
+    x, y, up, vp = rows.T
+    a = R.spec.epsilon * up
+    cu, su = _axis_sums(u, np.exp(-(u ** 2) / R.spec.tau), np.stack([y - vp, y + vp]))
+    cv, sv = _axis_sums(v, np.exp(-(v ** 2) / R.spec.sigma), np.stack([x - a, x + a]))
+    at_differences, at_sums = cu * cv - su * sv
+    return 0.5j * weight * (at_differences - at_sums)
+
+
 def _grouped_integrals(R: RFunction, rows: np.ndarray) -> np.ndarray:
     """Sine integrals for an (N, 4) array of rows (x, y, u', v').
 
-    One call of :func:`_sine_integral`, so one R slice, per distinct (u', v').
+    The Gaussian family's R takes :func:`_separable_integrals`.  Any other
+    R takes one call of :func:`_sine_integral`, so one R slice, per
+    distinct (u', v').  Both integrate on the mesh of :func:`_uv_mesh`.
     """
     u, v, weight = _uv_mesh(R)
+    if isinstance(R, _GaussianR):
+        return _separable_integrals(R, rows, u.ravel(), v.ravel(), weight)
     slices, which = np.unique(rows[:, 2:], axis=0, return_inverse=True)
     which = which.ravel()
     out = np.empty(len(rows), dtype=complex)
@@ -316,10 +372,11 @@ def autv_residual(R: RFunction, *, probe=None) -> float:
     The three integrals of every probe go into one array of rows
     (x, y, u', v'), grouped by the slice (u', v') they evaluate R on: the
     lhs integrals sit on the probe's own (u', v'), the other two on the
-    half-sums ((u' ± x)/2, (v' ± y)/2).  Each group is one call of
-    :func:`_sine_integral`, so R is evaluated once per distinct slice:
-    81 times on the default probe (its 25 lhs slices are among the 81
-    half-sums) instead of once per integral, 1875 times.
+    half-sums ((u' ± x)/2, (v' ± y)/2).  On the mesh route each group is
+    one call of :func:`_sine_integral`, so R is evaluated once per distinct
+    slice: 81 times on the default probe (its 25 lhs slices are among the
+    81 half-sums) instead of once per integral, 1875 times.  The Gaussian
+    family's R never evaluates on the mesh (see :func:`_grouped_integrals`).
     """
     if probe is None:
         ticks = np.linspace(-2.0, 2.0, 5)

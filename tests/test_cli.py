@@ -925,13 +925,24 @@ def test_factorize_outputs_are_byte_identical_across_runs(tmp_path, capsys, fmt)
 
 
 def test_factorize_too_narrow_a_width_names_the_widths(tmp_path, capsys):
-    # the epsilon = +1 residual that scales residual_ratio is exactly 0 here
+    # the v box is so narrow that the quadrature cannot tell the signs apart:
+    # the epsilon = +1 residual that scales residual_ratio equals the -1 one
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, "factorize", "--tau", "1.1", "--sigma", "5e-324",
                          "--epsilon", "-1", "--out", str(out_dir))
     assert code == 2 and err.startswith("error:") and not out
     assert "sigma" in err and "grid spacing" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("tau,sigma", [("5e-324", "1.1"), ("1.1", "1e-100")])
+def test_factorize_refuses_widths_where_the_signs_tie(tmp_path, capsys, tau, sigma):
+    # both residuals are rounding, equal at these widths: no ratio to report
+    widths = ("--tau", tau, "--sigma", sigma, "--out", str(tmp_path))
+    code, out, err = run(capsys, "factorize", *widths, "--epsilon", "-1")
+    assert code == 2 and not out and not any(tmp_path.iterdir())
+    assert f"--tau {float(tau)!r} and --sigma {float(sigma)!r} are too narrow" in err
+    assert run(capsys, "factorize", *widths, "--epsilon", "1")[0] == 0
 
 
 @pytest.mark.parametrize("tau,sigma", [("1e12", "1"), ("1", "1e12"), ("5e6", "5")])

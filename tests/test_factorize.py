@@ -1,5 +1,6 @@
 """Antisymmetric two-point kernels: consistency gate and symbol recovery."""
 
+import dataclasses
 import importlib
 import math
 
@@ -227,11 +228,80 @@ def test_default_probe_evaluates_each_slice_once():
         return base.fn(u, v, up, vp)
 
     R = RFunction(counted, base.u_extent, base.v_extent)
-    assert autv_residual(R) == autv_residual(base)
+    # a plain RFunction of the same fn takes the same mesh route
+    assert autv_residual(R) == autv_residual(RFunction(base.fn, base.u_extent, base.v_extent))
     # 25 lhs slices and 81 half-sum slices at most; one per integral
     # (1875) without the grouping
     assert len(calls) <= 106
     assert len(set(calls)) == len(calls)
+
+
+# ----------------------------------------------------------------------
+# the Gaussian family's separable route
+# ----------------------------------------------------------------------
+
+
+def _default_rows():
+    # the 1875 rows (x, y, u', v') that autv_residual integrates on the
+    # default probe: the probe, then its (u' + x)/2 and (u' − x)/2 slices
+    probe = np.array(DEFAULT_PROBE)
+    x, y, up, vp = probe.T
+    halves = [np.stack(2 * [(up + s * x) / 2, (vp + s * y) / 2], axis=-1) for s in (1, -1)]
+    return np.concatenate([probe, *halves])
+
+
+def _closed_form_integrals(spec, rows):
+    # each sine integral of the Gaussian R is two Gaussian integrals of a cosine
+    x, y, up, vp = rows.T
+    tau, sigma, eps = spec.tau, spec.sigma, spec.epsilon
+    return 0.5j * math.pi * math.sqrt(tau * sigma) * (
+        np.exp(-tau * (y - vp) ** 2 / 4 - sigma * (x - eps * up) ** 2 / 4)
+        - np.exp(-tau * (y + vp) ** 2 / 4 - sigma * (x + eps * up) ** 2 / 4)
+    )
+
+
+# Widths the 0.1 step resolves; both routes miss the closed form by at most
+# 4.6e-13 of max |I| here.  At σ = 0.01 the v box is ±0.53, about ten
+# points, and both miss by 1e-4 to 1e-3 (ROADMAP item 1), so σ ≤ 0.01 is
+# left out.
+RESOLVED_WIDTHS = (0.1, 0.25, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+@pytest.mark.parametrize("sigma", RESOLVED_WIDTHS)
+@pytest.mark.parametrize("tau", RESOLVED_WIDTHS)
+def test_separable_route_matches_the_closed_form(tau, sigma, epsilon):
+    spec = GaussianAlphaSpec(tau=tau, sigma=sigma, epsilon=epsilon)
+    rows = _default_rows()
+    exact = _closed_form_integrals(spec, rows)
+    integrals = factorize_module._grouped_integrals(spec.r_function(), rows)
+    assert np.max(np.abs(integrals - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_gaussian_quadratures_never_evaluate_R_on_the_mesh(epsilon):
+    base = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
+
+    def never(u, v, up, vp):
+        raise AssertionError("the Gaussian R must take the separable route")
+
+    R = dataclasses.replace(base, fn=never)
+    assert autv_residual(R) == autv_residual(base)
+    points = [(0.0, 0.0), (1.0, -0.5)]
+    assert np.array_equal(recover_A(R, points, override=True),
+                          recover_A(base, points, override=True))
+    if epsilon == 1:
+        assert np.array_equal(recover_A(R, points), recover_A(base, points))
+
+
+@pytest.mark.parametrize("tau", [0.8, 0.9, 1.1, 1.25])
+def test_residual_ratio_has_a_nonzero_scale(tau):
+    # the ε = +1 residual is rounding; it scales the report's residual_ratio,
+    # and the CLI refuses ε = −1 when it is 0 or no smaller than the ε = −1 one
+    calibration = autv_residual(GaussianAlphaSpec(tau, 1 / tau, 1).r_function())
+    residual = autv_residual(GaussianAlphaSpec(tau, 1 / tau, -1).r_function())
+    assert calibration > 0.0
+    assert residual / calibration >= 1e3
 
 
 def test_override_skips_the_gate(monkeypatch):

@@ -141,6 +141,13 @@ COMMANDS = [
     ("factorize", "--tau", "2.0", "--sigma", "0.5", "--epsilon", "1", "--format", "csv"),
     *[("factorize", "--tau", repr(tau), "--sigma", repr(1 / tau), "--epsilon", eps)
       for tau in (0.8, 1.25) for eps in ("1", "-1")],
+    # the separable quadrature's edges: a forced recovery, an anisotropic pair,
+    # a mesh near the cap, and a width where the two signs tie
+    (*_GATE, "-1", "--override", "--tol", "1e-6"),
+    ("factorize", "--tau", "100", "--sigma", "0.01", "--epsilon", "1"),
+    ("factorize", "--tau", "100", "--sigma", "0.01", "--epsilon", "-1"),
+    ("factorize", "--tau", "2500", "--sigma", "2.5", "--epsilon", "1"),
+    ("factorize", "--tau", "5e-324", "--sigma", "1.1", "--epsilon", "-1"),
     # usage errors
     (),
     ("--version",),
