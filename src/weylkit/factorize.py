@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -163,18 +163,7 @@ class GaussianAlphaSpec:
         )
 
     def r_function(self) -> RFunction:
-        tau, sigma, eps = self.tau, self.sigma, self.epsilon
-
-        def fn(u, v, up, vp):
-            return (
-                1j
-                * np.sin(u * vp + eps * up * v)
-                * np.exp(-(u ** 2) / tau - (v ** 2) / sigma)
-            )
-
-        return _GaussianR(
-            fn, TAIL_FACTOR * math.sqrt(tau), TAIL_FACTOR * math.sqrt(sigma), self
-        )
+        return _GaussianR(self)
 
     def a_function(self, q, p):
         """The generating symbol (meaningful for ε = +1 only)."""
@@ -185,15 +174,35 @@ class GaussianAlphaSpec:
 
 @dataclass(frozen=True)
 class _GaussianR(RFunction):
-    """The Gaussian family's R with its spec, which makes it separable:
+    """The Gaussian family's R, built from its spec alone, which makes it separable:
 
         R = i [sin(uv')·cos(εu'v) + cos(uv')·sin(εu'v)]·e^{−u²/τ}·e^{−v²/σ},
 
     so its quadratures are products of 1-d sums over the mesh axes (see
-    :func:`_separable_integrals`) instead of sums over the (u, v) mesh.
+    :func:`_separable_integrals`) and never call ``fn``.  ``fn`` and the
+    extents follow from ``spec``: they can be neither passed nor replaced,
+    so they cannot describe another R than the one integrated.  Another
+    function needs a plain :class:`RFunction`.
     """
 
+    fn: Callable = field(init=False, repr=False)
+    u_extent: float = field(init=False)
+    v_extent: float = field(init=False)
     spec: GaussianAlphaSpec
+
+    def __post_init__(self):
+        tau, sigma, eps = self.spec.tau, self.spec.sigma, self.spec.epsilon
+
+        def fn(u, v, up, vp):
+            return (
+                1j
+                * np.sin(u * vp + eps * up * v)
+                * np.exp(-(u ** 2) / tau - (v ** 2) / sigma)
+            )
+
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "u_extent", TAIL_FACTOR * math.sqrt(tau))
+        object.__setattr__(self, "v_extent", TAIL_FACTOR * math.sqrt(sigma))
 
 
 # ----------------------------------------------------------------------
@@ -311,13 +320,17 @@ def _axis_sums(axis, damping, c):
     Returns the two sums stacked on a new first axis.  cos and sin are
     evaluated once per distinct value of ``c``, a block of values at a
     time, so no array holds more than about ``_BLOCK_POINTS`` values.
+    Each value's sums reduce its own row, so they do not depend on the
+    block or on the other values of ``c``.
     """
     values, index = np.unique(c, return_inverse=True)
     sums = np.empty((2, values.size))
     block = max(_BLOCK_POINTS // axis.size, 1)
     for start in range(0, values.size, block):
         phase = np.multiply.outer(values[start:start + block], axis)
-        sums[:, start:start + block] = np.cos(phase) @ damping, np.sin(phase) @ damping
+        sums[:, start:start + block] = (
+            np.sum(np.cos(phase) * damping, axis=1), np.sum(np.sin(phase) * damping, axis=1)
+        )
     return sums[:, index.reshape(c.shape)]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -179,11 +180,24 @@ DEFAULT_PROBE = [
 ]
 
 
+def _separable_route(R):
+    return R
+
+
+def _mesh_route(R):
+    # a plain RFunction of the same fn integrates slice by slice on the mesh
+    return RFunction(R.fn, R.u_extent, R.v_extent)
+
+
+ROUTES = (_separable_route, _mesh_route)
+
+
 @pytest.mark.parametrize("tau", [0.8, 1.25])
 @pytest.mark.parametrize("epsilon", [1, -1])
 def test_grouped_residual_matches_per_integral_loop(tau, epsilon):
-    R = GaussianAlphaSpec(tau=tau, sigma=1 / tau, epsilon=epsilon).r_function()
-    assert abs(autv_residual(R) - _oracle_residual(R, DEFAULT_PROBE)) < 1e-12
+    for route in ROUTES:
+        R = route(GaussianAlphaSpec(tau=tau, sigma=1 / tau, epsilon=epsilon).r_function())
+        assert abs(autv_residual(R) - _oracle_residual(R, DEFAULT_PROBE)) < 1e-12
 
 
 def test_grouped_residual_matches_on_mixed_slices():
@@ -197,8 +211,8 @@ def test_grouped_residual_matches_on_mixed_slices():
         (0.3, 1.1, -0.4, 0.9),
         (2.0, -1.0, 0.0, 1.0),
     ]
-    for epsilon in (1, -1):
-        R = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
+    for epsilon, route in itertools.product((1, -1), ROUTES):
+        R = route(GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function())
         assert abs(autv_residual(R, probe=probe) - _oracle_residual(R, probe)) < 1e-12
         u, v, weight = factorize_module._uv_mesh(R)
         rows = np.array(probe)
@@ -210,13 +224,14 @@ def test_grouped_residual_matches_on_mixed_slices():
 def test_grouped_recovery_matches_per_integral_loop():
     ticks = np.linspace(-2.0, 2.0, 17)
     points = [(x, y) for x in ticks for y in ticks]
-    R = GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function()
-    anchor = (
-        factorize_module.TAIL_FACTOR ** 2 / R.v_extent,
-        factorize_module.TAIL_FACTOR ** 2 / R.u_extent,
-    )
-    values = recover_A(R, points, override=True)
-    assert np.max(np.abs(values - _oracle_recovery(R, points, anchor))) < 1e-12
+    for route in ROUTES:
+        R = route(GaussianAlphaSpec(tau=1.0, sigma=1.0).r_function())
+        anchor = (
+            factorize_module.TAIL_FACTOR ** 2 / R.v_extent,
+            factorize_module.TAIL_FACTOR ** 2 / R.u_extent,
+        )
+        values = recover_A(R, points, override=True)
+        assert np.max(np.abs(values - _oracle_recovery(R, points, anchor))) < 1e-12
 
 
 def test_default_probe_evaluates_each_slice_once():
@@ -229,7 +244,7 @@ def test_default_probe_evaluates_each_slice_once():
 
     R = RFunction(counted, base.u_extent, base.v_extent)
     # a plain RFunction of the same fn takes the same mesh route
-    assert autv_residual(R) == autv_residual(RFunction(base.fn, base.u_extent, base.v_extent))
+    assert autv_residual(R) == autv_residual(_mesh_route(base))
     # 25 lhs slices and 81 half-sum slices at most; one per integral
     # (1875) without the grouping
     assert len(calls) <= 106
@@ -261,21 +276,36 @@ def _closed_form_integrals(spec, rows):
 
 
 # Widths the 0.1 step resolves; both routes miss the closed form by at most
-# 4.6e-13 of max |I| here.  At σ = 0.01 the v box is ±0.53, about ten
+# 4.6e-13 of max |I| here, and each is checked.  At σ = 0.01 the v box is ±0.53, about ten
 # points, and both miss by 1e-4 to 1e-3 (ROADMAP item 1), so σ ≤ 0.01 is
 # left out.
 RESOLVED_WIDTHS = (0.1, 0.25, 0.5, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("epsilon", [1, -1])
 @pytest.mark.parametrize("sigma", RESOLVED_WIDTHS)
 @pytest.mark.parametrize("tau", RESOLVED_WIDTHS)
-def test_separable_route_matches_the_closed_form(tau, sigma, epsilon):
+def test_quadrature_routes_match_the_closed_form(tau, sigma, epsilon, route):
     spec = GaussianAlphaSpec(tau=tau, sigma=sigma, epsilon=epsilon)
     rows = _default_rows()
     exact = _closed_form_integrals(spec, rows)
-    integrals = factorize_module._grouped_integrals(spec.r_function(), rows)
+    integrals = factorize_module._grouped_integrals(route(spec.r_function()), rows)
     assert np.max(np.abs(integrals - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_separable_sums_do_not_depend_on_the_block(monkeypatch):
+    # two values per trig table split each axis sum's nine values into
+    # five blocks, the last one short; they must give the one-block result
+    rows = _default_rows()
+    for epsilon in (1, -1):
+        R = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
+        whole = factorize_module._grouped_integrals(R, rows)
+        u, v, _ = factorize_module._uv_mesh(R)
+        with monkeypatch.context() as patch:
+            patch.setattr(factorize_module, "_BLOCK_POINTS", 2 * max(u.size, v.size))
+            blocked = factorize_module._grouped_integrals(R, rows)
+        assert np.array_equal(blocked, whole)
 
 
 @pytest.mark.parametrize("epsilon", [1, -1])
@@ -285,7 +315,11 @@ def test_gaussian_quadratures_never_evaluate_R_on_the_mesh(epsilon):
     def never(u, v, up, vp):
         raise AssertionError("the Gaussian R must take the separable route")
 
-    R = dataclasses.replace(base, fn=never)
+    R = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
+    # fn follows from the spec and cannot be replaced; force it here
+    with pytest.raises(ValueError):
+        dataclasses.replace(R, fn=never)
+    object.__setattr__(R, "fn", never)
     assert autv_residual(R) == autv_residual(base)
     points = [(0.0, 0.0), (1.0, -0.5)]
     assert np.array_equal(recover_A(R, points, override=True),
