@@ -275,10 +275,10 @@ def _closed_form_integrals(spec, rows):
     )
 
 
-# Widths the 0.1 step resolves; both routes miss the closed form by at most
-# 4.6e-13 of max |I| here, and each is checked.  At σ = 0.01 the v box is ±0.53, about ten
-# points, and both miss by 1e-4 to 1e-3 (ROADMAP item 1), so σ ≤ 0.01 is
-# left out.
+# Widths the 0.1 step resolves; both routes, each checked, miss the closed
+# form by at most 4.6e-13 of max |I| here.  At σ = 0.01 the v box is ±0.53,
+# about ten points, and both miss by 1e-4 to 1e-3 (ROADMAP item 1), so
+# σ ≤ 0.01 is left out.
 RESOLVED_WIDTHS = (0.1, 0.25, 0.5, 1.0, 2.0)
 
 
