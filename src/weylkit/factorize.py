@@ -32,8 +32,9 @@ which forward map, R, consistency and recovery are all known exactly.
 
 All plane integrals are midpoint Riemann quadratures over boxes sized from
 the stated decay extents (tails below ~1e−12); boxes are reported on the
-module logger.  One function, ``_uv_mesh``, decides the (u, v) mesh; it is
-capped at ``_MESH_POINTS_MAX`` points, checked before anything is allocated.
+module logger.  One function, ``_sine_integral``, computes them, on the
+(u, v) mesh that ``_uv_mesh`` decides; the mesh is capped at
+``_MESH_POINTS_MAX`` points, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ logger = logging.getLogger(__name__)
 # largest grid alpha_kernel_from_A tabulates densely
 _DENSE_N_MAX = 32
 
-# Largest (u, v) quadrature mesh.  One R slice on the mesh is a complex
-# array of 16 B per point and the default gate evaluates about a hundred
-# slices, so 10⁶ points keep a slice near 16 MB and a gate at a few
-# seconds, about 90 times the default mesh (~11k points at τσ = 1).
+# Largest (u, v) quadrature mesh, about 90 times the default mesh (~11k
+# points at τσ = 1).  It bounds the mesh route's R slices; the separable
+# route keeps the same cap so that both routes refuse the same widths.
+# ROADMAP item 1 revisits it with a per-axis step.
 _MESH_POINTS_MAX = 1_000_000
 
 # midpoint step of the (u, v) quadratures
@@ -295,25 +296,6 @@ def _uv_mesh(R: RFunction):
     return u[:, None], v[None, :], (u[1] - u[0]) * (v[1] - v[0])
 
 
-def _sine_integral(R: RFunction, x, y, up, vp, u, v, weight):
-    """∬ sin(vx + uy) R(u, v, u', v') du dv by midpoint quadrature.
-
-    ``x`` and ``y`` are equal-length 1-d arrays that share the one slice
-    (u', v'); the result is a complex 1-d array to match.  R is evaluated
-    on the mesh once, and the split
-
-        sin(vx + uy) = sin(uy)·cos(vx) + cos(uy)·sin(vx)
-
-    reduces all the sums to two matrix products with that slice.
-    """
-    r = np.broadcast_to(R.fn(u, v, up, vp), (u.size, v.size))
-    uy = np.multiply.outer(y, u.ravel())
-    vx = np.multiply.outer(x, v.ravel())
-    return weight * np.sum(
-        (np.sin(uy) @ r) * np.cos(vx) + (np.cos(uy) @ r) * np.sin(vx), axis=-1
-    )
-
-
 def _axis_sums(axis, damping, c):
     """Σᵢ cos(axisᵢ·c)·dampingᵢ and Σᵢ sin(axisᵢ·c)·dampingᵢ at each value of c.
 
@@ -334,7 +316,7 @@ def _axis_sums(axis, damping, c):
     return sums[:, index.reshape(c.shape)]
 
 
-def _separable_integrals(R: _GaussianR, rows, u, v, weight):
+def _separable_integrals(R: _GaussianR, x, y, up, vp, u, v, weight):
     """The sine integrals of the Gaussian R as products of 1-d sums.
 
     With a = εu', the integrand sin(vx + uy)·sin(uv' + av) is
@@ -345,7 +327,6 @@ def _separable_integrals(R: _GaussianR, rows, u, v, weight):
     double sum is two products of a sum over u at y ∓ v' and a sum over v
     at x ∓ a.
     """
-    x, y, up, vp = rows.T
     a = R.spec.epsilon * up
     cu, su = _axis_sums(u, np.exp(-(u ** 2) / R.spec.tau), np.stack([y - vp, y + vp]))
     cv, sv = _axis_sums(v, np.exp(-(v ** 2) / R.spec.sigma), np.stack([x - a, x + a]))
@@ -353,23 +334,33 @@ def _separable_integrals(R: _GaussianR, rows, u, v, weight):
     return 0.5j * weight * (at_differences - at_sums)
 
 
-def _grouped_integrals(R: RFunction, rows: np.ndarray) -> np.ndarray:
-    """Sine integrals for an (N, 4) array of rows (x, y, u', v').
+def _sine_integral(R: RFunction, x, y, up, vp):
+    """∬ sin(vx + uy) R(u, v, u', v') du dv by midpoint quadrature.
 
-    The Gaussian family's R takes :func:`_separable_integrals`.  Any other
-    R takes one call of :func:`_sine_integral`, so one R slice, per
-    distinct (u', v').  Both integrate on the mesh of :func:`_uv_mesh`.
+    ``x``, ``y``, ``up`` and ``vp`` are equal-length 1-d arrays, one
+    integral per index; the result is a complex 1-d array to match.  Both
+    routes integrate on the mesh of :func:`_uv_mesh`.  The Gaussian
+    family's R takes :func:`_separable_integrals`.  Any other R is
+    evaluated on the mesh once per distinct slice (u', v'), and the split
+
+        sin(vx + uy) = sin(uy)·cos(vx) + cos(uy)·sin(vx)
+
+    reduces the sums of that slice to two matrix products with it.
     """
     u, v, weight = _uv_mesh(R)
     if isinstance(R, _GaussianR):
-        return _separable_integrals(R, rows, u.ravel(), v.ravel(), weight)
-    slices, which = np.unique(rows[:, 2:], axis=0, return_inverse=True)
+        return _separable_integrals(R, x, y, up, vp, u.ravel(), v.ravel(), weight)
+    slices, which = np.unique(np.stack([up, vp], axis=-1), axis=0, return_inverse=True)
     which = which.ravel()
-    out = np.empty(len(rows), dtype=complex)
-    for k, (up, vp) in enumerate(slices):
+    out = np.empty(len(x), dtype=complex)
+    for k, (s, t) in enumerate(slices):
         members = np.flatnonzero(which == k)
-        x, y = rows[members, 0], rows[members, 1]
-        out[members] = _sine_integral(R, x, y, up, vp, u, v, weight)
+        r = np.broadcast_to(R.fn(u, v, s, t), (u.size, v.size))
+        uy = np.multiply.outer(y[members], u.ravel())
+        vx = np.multiply.outer(x[members], v.ravel())
+        out[members] = weight * np.sum(
+            (np.sin(uy) @ r) * np.cos(vx) + (np.cos(uy) @ r) * np.sin(vx), axis=-1
+        )
     return out
 
 
@@ -383,13 +374,12 @@ def autv_residual(R: RFunction, *, probe=None) -> float:
     magnitude.
 
     The three integrals of every probe go into one array of rows
-    (x, y, u', v'), grouped by the slice (u', v') they evaluate R on: the
-    lhs integrals sit on the probe's own (u', v'), the other two on the
-    half-sums ((u' ± x)/2, (v' ± y)/2).  On the mesh route each group is
-    one call of :func:`_sine_integral`, so R is evaluated once per distinct
-    slice: 81 times on the default probe (its 25 lhs slices are among the
-    81 half-sums) instead of once per integral, 1875 times.  The Gaussian
-    family's R never evaluates on the mesh (see :func:`_grouped_integrals`).
+    (x, y, u', v') and one call of :func:`_sine_integral`: the lhs
+    integrals sit on the probe's own slice (u', v'), the other two on the
+    half-sums ((u' ± x)/2, (v' ± y)/2).  On the mesh route R is evaluated
+    once per distinct slice: 81 times on the default probe (its 25 lhs
+    slices are among the 81 half-sums) instead of once per integral, 1875
+    times.  The Gaussian family's R never evaluates on the mesh.
     """
     if probe is None:
         ticks = np.linspace(-2.0, 2.0, 5)
@@ -404,7 +394,7 @@ def autv_residual(R: RFunction, *, probe=None) -> float:
         R.v_extent,
         _STEP,
     )
-    lhs, plus, minus = _grouped_integrals(R, np.concatenate([probe, plus, minus])).reshape(3, -1)
+    lhs, plus, minus = _sine_integral(R, *np.concatenate([probe, plus, minus]).T).reshape(3, -1)
     return float(np.max(np.abs(lhs - (plus - minus)), initial=0.0))
 
 
@@ -439,6 +429,6 @@ def recover_A(R: RFunction, points, *, override: bool = False) -> np.ndarray:
             )
     anchor = (TAIL_FACTOR ** 2 / R.v_extent, TAIL_FACTOR ** 2 / R.u_extent)
     logger.debug("recover_A anchor (%.3f, %.3f), step %.3f", *anchor, _STEP)
-    xy = np.asarray([anchor, *points], dtype=float).reshape(-1, 2)
-    g = 4j * _grouped_integrals(R, np.concatenate([xy, xy], axis=1))
+    x, y = np.asarray([anchor, *points], dtype=float).reshape(-1, 2).T
+    g = 4j * _sine_integral(R, x, y, x, y)
     return (g[1:] - g[0]).real

@@ -216,7 +216,7 @@ def test_grouped_residual_matches_on_mixed_slices():
         assert abs(autv_residual(R, probe=probe) - _oracle_residual(R, probe)) < 1e-12
         u, v, weight = factorize_module._uv_mesh(R)
         rows = np.array(probe)
-        grouped = factorize_module._grouped_integrals(R, rows)
+        grouped = factorize_module._sine_integral(R, *rows.T)
         single = [_oracle_sine_integral(R, *row, u, v, weight) for row in rows]
         assert np.max(np.abs(grouped - single)) < 1e-12
 
@@ -290,7 +290,7 @@ def test_quadrature_routes_match_the_closed_form(tau, sigma, epsilon, route):
     spec = GaussianAlphaSpec(tau=tau, sigma=sigma, epsilon=epsilon)
     rows = _default_rows()
     exact = _closed_form_integrals(spec, rows)
-    integrals = factorize_module._grouped_integrals(route(spec.r_function()), rows)
+    integrals = factorize_module._sine_integral(route(spec.r_function()), *rows.T)
     assert np.max(np.abs(integrals - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -300,11 +300,11 @@ def test_separable_sums_do_not_depend_on_the_block(monkeypatch):
     rows = _default_rows()
     for epsilon in (1, -1):
         R = GaussianAlphaSpec(tau=1.1, sigma=0.9, epsilon=epsilon).r_function()
-        whole = factorize_module._grouped_integrals(R, rows)
+        whole = factorize_module._sine_integral(R, *rows.T)
         u, v, _ = factorize_module._uv_mesh(R)
         with monkeypatch.context() as patch:
             patch.setattr(factorize_module, "_BLOCK_POINTS", 2 * max(u.size, v.size))
-            blocked = factorize_module._grouped_integrals(R, rows)
+            blocked = factorize_module._sine_integral(R, *rows.T)
         assert np.array_equal(blocked, whole)
 
 
@@ -359,8 +359,10 @@ def test_quadrature_mesh_is_capped_before_allocation():
         raise AssertionError("R must not be evaluated past the mesh cap")
 
     # past about 9e306 an extent spans inf steps, which no int can count
-    for extents in ((1e150, 1.0), (1.0, 1e150), (5e6, 5.0), (1e308, 1.0), (1.0, 1e308)):
-        R = RFunction(never, *extents)
+    plain = [RFunction(never, *extents)
+             for extents in ((1e150, 1.0), (1.0, 1e150), (5e6, 5.0), (1e308, 1.0), (1.0, 1e308))]
+    # the separable route refuses the same widths through the same entry
+    for R in plain + [GaussianAlphaSpec(5e6, 5).r_function()]:
         with pytest.raises(ValueError, match="exceeds the cap"):
             factorize_module._uv_mesh(R)
         with pytest.raises(ValueError, match="exceeds the cap"):

@@ -49,3 +49,29 @@ def test_perfbench_selftest_passes():
     done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=PERFBENCH.parent,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_both_quadrature_routes_tally_their_integrals():
+    # the tally wraps the one entry that computes sine integrals, so the
+    # separable route counts the same 1875 integrals as the mesh route
+    from weylkit import factorize
+    from weylkit.factorize import GaussianAlphaSpec, RFunction
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installation = tracing.Installation(tracer)
+    R = GaussianAlphaSpec(1.1, 1 / 1.1, -1).r_function()
+    points = [(0.0, 0.0), (1.0, -0.5), (0.25, 2.0)]
+    try:
+        tracer.request = 0
+        factorize.autv_residual(R)
+        factorize.autv_residual(RFunction(R.fn, R.u_extent, R.v_extent))
+        factorize.recover_A(R, points, override=True)
+    finally:
+        installation.restore()
+    integrals = [(name, (sizes or {}).get("integrals")) for name, *_, sizes in tracer.spans]
+    assert integrals == [
+        ("factorize.autv_residual", 1875),
+        ("factorize.autv_residual", 1875),
+        ("factorize.recover_A", len(points) + 1),
+    ]

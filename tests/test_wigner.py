@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,8 +430,10 @@ def test_import_builds_no_repr_table():
     )
     import tempfile
 
+    # the child imports the weylkit this process imported, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(wigner.__file__).parents[1])}
     with tempfile.TemporaryDirectory() as out:
-        done = subprocess.run([sys.executable, "-c", code.format(out=out)],
+        done = subprocess.run([sys.executable, "-c", code.format(out=out)], env=env,
                               capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 
